@@ -8,11 +8,11 @@ Usage::
     python -m repro dataset -n 500 -o ds.npz --workers 4 --cache-dir .dscache
     python -m repro train -d ds.npz -o est.json  # train a CF estimator
     python -m repro preimpl design.json --cache-dir .cache --workers 4  # warm the cache
-    python -m repro stitch design.json --cf 1.5 --restarts 4  # place a design
-    python -m repro stitch design.json --profile --trace-out trace.json
-    python -m repro evolve design.json --budget 20000 --restarts 4  # GA placer
-    python -m repro temper design.json --budget 20000 --chains 4  # parallel tempering
-    python -m repro gplace design.json --polish-iters 20000  # analytic warm start + SA
+    python -m repro place design.json --cf 1.5 --restarts 4  # SA placement
+    python -m repro place design.json --profile --trace-out trace.json
+    python -m repro place design.json --placer ga --budget 20000  # GA placer
+    python -m repro place design.json --placer pt --chains 4  # parallel tempering
+    python -m repro place design.json --placer gp+sa  # analytic warm start + SA
     python -m repro route design.json --congestion-weight 0.5  # congestion/timing report
     python -m repro trace summarize trace.json  # render a saved trace
     python -m repro lint src benchmarks --format github  # static analysis
@@ -28,9 +28,9 @@ from typing import Sequence
 
 __all__ = ["main", "build_parser"]
 
-#: Mirrors :data:`repro.flow.stitcher.KERNELS` (kept literal so parser
-#: construction stays import-light; tests assert the two agree).
-_SA_KERNELS = ("fast", "reference")
+#: ``repro place --placer`` choices (kept literal so parser construction
+#: stays import-light); :func:`_build_placer` maps each to its placer.
+_PLACERS = ("sa", "ga", "pt", "gp", "gp+sa")
 
 
 def _add_trace_args(p: argparse.ArgumentParser) -> None:
@@ -49,6 +49,48 @@ def _add_route_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timing-weight", type=float, default=0.0,
                    help="weight of the block-level critical-path cost "
                    "term (0 = off, the default)")
+
+
+def _add_placement_args(p: argparse.ArgumentParser) -> None:
+    """Design, CF, placer and restart flags shared by ``place`` and ``route``."""
+    p.add_argument("design", help="design JSON (see export-design)")
+    p.add_argument("--part", default="xc7z020")
+    cf_group = p.add_mutually_exclusive_group()
+    cf_group.add_argument("--cf", type=float, default=1.5,
+                          help="constant correction factor")
+    cf_group.add_argument("--minimal", action="store_true",
+                          help="use the ground-truth minimal CF per module")
+    p.add_argument("--placer", choices=_PLACERS, default="sa",
+                   help="placement optimizer: simulated annealing, genetic "
+                   "algorithm, parallel tempering, analytic global "
+                   "placement, or analytic warm start + SA")
+    p.add_argument("--budget", type=int, default=20000,
+                   help="kernel-move budget cap (gp+sa polishes at half "
+                   "of it; gp spends none)")
+    p.add_argument("--restarts", type=int, default=1,
+                   help="independent seeds; the best run wins")
+    p.add_argument("--workers", type=int, default=0,
+                   help="worker processes (seeds with --restarts > 1, "
+                   "pt chains for a single run; 0 = serial)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--population", type=int, default=16,
+                   help="GA population (--placer ga)")
+    p.add_argument("--polish-frac", type=float, default=0.5,
+                   help="trailing GA budget fraction spent hill-climbing")
+    p.add_argument("--chains", type=int, default=4,
+                   help="replica chains on the temperature ladder (pt)")
+    p.add_argument("--steps-per-round", type=int, default=250,
+                   help="moves per chain per synchronization round (pt)")
+    p.add_argument("--swap-period", type=int, default=4,
+                   help="rounds between replica-exchange events (pt)")
+    p.add_argument("--iters", type=int, default=100,
+                   help="analytic gradient-descent iterations (gp, gp+sa; "
+                   "uncharged)")
+    p.add_argument("--render", action="store_true",
+                   help="print the ASCII map (occupancy for place, "
+                   "congestion heat map for route)")
+    _add_route_args(p)
+    _add_trace_args(p)
 
 
 def _make_tracer(args: argparse.Namespace):
@@ -144,140 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit the FlowStats as JSON on stdout")
     _add_trace_args(p_pi)
 
-    p_st = sub.add_parser(
-        "stitch", help="pre-implement and stitch a saved block design"
+    p_pl = sub.add_parser(
+        "place", help="pre-implement and place a saved block design"
     )
-    p_st.add_argument("design", help="design JSON (see export-design)")
-    p_st.add_argument("--part", default="xc7z020")
-    cf_group = p_st.add_mutually_exclusive_group()
-    cf_group.add_argument("--cf", type=float, default=1.5,
-                          help="constant correction factor")
-    cf_group.add_argument("--minimal", action="store_true",
-                          help="use the ground-truth minimal CF per module")
-    p_st.add_argument("--kernel", choices=list(_SA_KERNELS), default="fast")
-    p_st.add_argument("--restarts", type=int, default=1,
-                      help="independent SA seeds; the best run wins")
-    p_st.add_argument("--workers", type=int, default=0,
-                      help="worker processes for the restarts (0 = serial)")
-    p_st.add_argument("--sa-iters", type=int, default=20000)
-    p_st.add_argument("--seed", type=int, default=0)
-    p_st.add_argument("--render", action="store_true",
-                      help="print the ASCII occupancy map")
-    _add_route_args(p_st)
-    _add_trace_args(p_st)
-
-    p_ev = sub.add_parser(
-        "evolve",
-        help="pre-implement and GA-place a saved block design",
-    )
-    p_ev.add_argument("design", help="design JSON (see export-design)")
-    p_ev.add_argument("--part", default="xc7z020")
-    ev_cf_group = p_ev.add_mutually_exclusive_group()
-    ev_cf_group.add_argument("--cf", type=float, default=1.5,
-                             help="constant correction factor")
-    ev_cf_group.add_argument("--minimal", action="store_true",
-                             help="use the ground-truth minimal CF per module")
-    p_ev.add_argument("--kernel", choices=list(_SA_KERNELS), default="fast")
-    p_ev.add_argument("--restarts", type=int, default=1,
-                      help="independent GA seeds; the best run wins")
-    p_ev.add_argument("--workers", type=int, default=0,
-                      help="worker processes for the restarts (0 = serial)")
-    p_ev.add_argument("--budget", type=int, default=20000,
-                      help="kernel-move budget (comparable to SA --sa-iters)")
-    p_ev.add_argument("--population", type=int, default=16)
-    p_ev.add_argument("--polish-frac", type=float, default=0.5,
-                      help="trailing budget fraction spent hill-climbing")
-    p_ev.add_argument("--seed", type=int, default=0)
-    p_ev.add_argument("--render", action="store_true",
-                      help="print the ASCII occupancy map")
-    _add_route_args(p_ev)
-    _add_trace_args(p_ev)
-
-    p_pt = sub.add_parser(
-        "temper",
-        help="pre-implement and place a saved block design with "
-        "cooperative parallel tempering",
-    )
-    p_pt.add_argument("design", help="design JSON (see export-design)")
-    p_pt.add_argument("--part", default="xc7z020")
-    pt_cf_group = p_pt.add_mutually_exclusive_group()
-    pt_cf_group.add_argument("--cf", type=float, default=1.5,
-                             help="constant correction factor")
-    pt_cf_group.add_argument("--minimal", action="store_true",
-                             help="use the ground-truth minimal CF per module")
-    p_pt.add_argument("--kernel", choices=list(_SA_KERNELS), default="fast")
-    p_pt.add_argument("--budget", type=int, default=20000,
-                      help="total kernel-move budget across all chains "
-                      "(comparable to SA --sa-iters)")
-    p_pt.add_argument("--chains", type=int, default=4,
-                      help="replica chains on the temperature ladder")
-    p_pt.add_argument("--steps-per-round", type=int, default=250,
-                      help="moves per chain per synchronization round")
-    p_pt.add_argument("--swap-period", type=int, default=4,
-                      help="rounds between replica-exchange events")
-    p_pt.add_argument("--restarts", type=int, default=1,
-                      help="independent tempering seeds; the best run wins")
-    p_pt.add_argument("--workers", type=int, default=0,
-                      help="worker processes (chains for a single run, "
-                      "seeds with --restarts > 1; 0 = serial)")
-    p_pt.add_argument("--seed", type=int, default=0)
-    p_pt.add_argument("--render", action="store_true",
-                      help="print the ASCII occupancy map")
-    _add_route_args(p_pt)
-    _add_trace_args(p_pt)
-
-    p_gp = sub.add_parser(
-        "gplace",
-        help="pre-implement and place a saved block design with the "
-        "analytic global placer (optionally polished by SA)",
-    )
-    p_gp.add_argument("design", help="design JSON (see export-design)")
-    p_gp.add_argument("--part", default="xc7z020")
-    gp_cf_group = p_gp.add_mutually_exclusive_group()
-    gp_cf_group.add_argument("--cf", type=float, default=1.5,
-                             help="constant correction factor")
-    gp_cf_group.add_argument("--minimal", action="store_true",
-                             help="use the ground-truth minimal CF per module")
-    p_gp.add_argument("--kernel", choices=list(_SA_KERNELS), default="fast")
-    p_gp.add_argument("--iters", type=int, default=100,
-                      help="gradient-descent iterations (uncharged)")
-    p_gp.add_argument("--polish-iters", type=int, default=0, metavar="N",
-                      help="polish with SA at N//2 kernel moves "
-                      "(the gp+sa half-budget pipeline; 0 = gp only)")
-    p_gp.add_argument("--restarts", type=int, default=1,
-                      help="independent polish-SA seeds; the best run wins "
-                      "(the gp stage is deterministic)")
-    p_gp.add_argument("--workers", type=int, default=0,
-                      help="worker processes for the restarts (0 = serial)")
-    p_gp.add_argument("--seed", type=int, default=0)
-    p_gp.add_argument("--render", action="store_true",
-                      help="print the ASCII occupancy map")
-    _add_route_args(p_gp)
-    _add_trace_args(p_gp)
+    _add_placement_args(p_pl)
 
     p_rt = sub.add_parser(
         "route",
-        help="stitch a saved block design and report channel congestion "
+        help="place a saved block design and report channel congestion "
         "and the block-level critical path",
     )
-    p_rt.add_argument("design", help="design JSON (see export-design)")
-    p_rt.add_argument("--part", default="xc7z020")
-    rt_cf_group = p_rt.add_mutually_exclusive_group()
-    rt_cf_group.add_argument("--cf", type=float, default=1.5,
-                             help="constant correction factor")
-    rt_cf_group.add_argument("--minimal", action="store_true",
-                             help="use the ground-truth minimal CF per module")
-    p_rt.add_argument("--kernel", choices=list(_SA_KERNELS), default="fast")
-    p_rt.add_argument("--restarts", type=int, default=1,
-                      help="independent SA seeds; the best run wins")
-    p_rt.add_argument("--workers", type=int, default=0,
-                      help="worker processes for the restarts (0 = serial)")
-    p_rt.add_argument("--sa-iters", type=int, default=20000)
-    p_rt.add_argument("--seed", type=int, default=0)
-    p_rt.add_argument("--render", action="store_true",
-                      help="print the ASCII congestion heat map")
-    _add_route_args(p_rt)
-    _add_trace_args(p_rt)
+    _add_placement_args(p_rt)
 
     p_lint = sub.add_parser(
         "lint",
@@ -511,12 +430,58 @@ def _cmd_preimpl(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stitch(args: argparse.Namespace) -> int:
+def _build_placer(args: argparse.Namespace):
+    """The ``--placer`` optimizer configured from the command line."""
+    from repro.flow.evolve import GAParams
+    from repro.flow.global_place import GPParams
+    from repro.flow.placers import (
+        AnalyticPlacer,
+        GAPlacer,
+        SAPlacer,
+        TemperedSAPlacer,
+        WarmStartedSAPlacer,
+    )
+    from repro.flow.stitcher import SAParams
+    from repro.flow.tempering import PTParams
+
+    common = dict(
+        seed=args.seed,
+        congestion_weight=args.congestion_weight,
+        timing_weight=args.timing_weight,
+    )
+    sa = SAParams(max_iters=args.budget, **common)
+    gp = GPParams(n_iters=args.iters, **common)
+    # Restarts already fan out over processes; only a single tempering
+    # run spends --workers on its chains.
+    chain_workers = (args.workers or None) if args.restarts == 1 else None
+    return {
+        "sa": lambda: SAPlacer(sa),
+        "ga": lambda: GAPlacer(GAParams(
+            move_budget=args.budget, population=args.population,
+            polish_frac=args.polish_frac, **common,
+        )),
+        "pt": lambda: TemperedSAPlacer(PTParams(
+            max_iters=args.budget, n_chains=args.chains,
+            steps_per_round=args.steps_per_round,
+            swap_period=args.swap_period, **common,
+        ), n_workers=chain_workers),
+        "gp": lambda: AnalyticPlacer(gp),
+        "gp+sa": lambda: WarmStartedSAPlacer(
+            sa, warm="gp", gp_params=gp, name="gp+sa"
+        ),
+    }[args.placer]()
+
+
+def _place_design(args: argparse.Namespace):
+    """Load, pre-implement and place ``args.design``; print the summary.
+
+    Returns ``(design, grid, flow_result)``; the trace is already
+    emitted.
+    """
     from repro.device import make_part
     from repro.flow.design_io import load_design
     from repro.flow.policy import FixedCF, MinimalCFPolicy
     from repro.flow.rwflow import run_rw_flow
-    from repro.flow.stitcher import SAParams
 
     design = load_design(args.design)
     grid = make_part(args.part)
@@ -526,13 +491,7 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
         design,
         grid,
         policy,
-        sa_params=SAParams(
-            max_iters=args.sa_iters,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        kernel=args.kernel,
+        placer=_build_placer(args),
         n_seeds=args.restarts,
         n_workers=args.workers or None,
         tracer=tracer,
@@ -544,13 +503,27 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
         f"{s.n_unplaced} unplaced, wirelength {s.wirelength:.1f}, "
         f"cost {s.final_cost:.1f}"
     )
+    return design, grid, res
+
+
+def _finish(res) -> int:
+    """Report infeasible modules; the command's exit code."""
+    if not res.ok:
+        print(res.infeasible.describe())
+        return 1
+    return 0
+
+
+def _cmd_place(args: argparse.Namespace) -> int:
+    res = _place_design(args)[2]
+    s = res.stitch
     if args.congestion_weight or args.timing_weight:
         print(
             f"  congestion cost {s.congestion_cost:.2f}, "
             f"timing cost {s.timing_cost:.2f}"
         )
     print(
-        f"  converged at iter {s.converged_at}/{s.iterations}, "
+        f"  {args.placer}: converged at move {s.converged_at}/{s.iterations}, "
         f"{s.illegal_moves} illegal moves, {res.total_tool_runs} tool runs"
     )
     if s.stats is not None:
@@ -558,215 +531,17 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
         print(
             f"  kernel={st.kernel} seed={st.seed} "
             f"accept rate {st.accept_rate * 100:.1f}%, "
-            f"{st.total_s:.2f}s "
-            f"(setup {st.setup_s:.2f} + initial {st.initial_s:.2f} "
-            f"+ anneal {st.anneal_s:.2f} + fill {st.fill_s:.2f})"
+            f"{st.total_s:.2f}s ({st.breakdown()})"
         )
     if args.render:
         print(s.render())
-    if not res.ok:
-        print(res.infeasible.describe())
-        return 1
-    return 0
-
-
-def _cmd_evolve(args: argparse.Namespace) -> int:
-    from repro.device import make_part
-    from repro.flow.design_io import load_design
-    from repro.flow.evolve import GAParams
-    from repro.flow.policy import FixedCF, MinimalCFPolicy
-    from repro.flow.rwflow import run_rw_flow
-
-    design = load_design(args.design)
-    grid = make_part(args.part)
-    policy = MinimalCFPolicy() if args.minimal else FixedCF(args.cf)
-    tracer = _make_tracer(args)
-    res = run_rw_flow(
-        design,
-        grid,
-        policy,
-        placer="ga",
-        ga_params=GAParams(
-            move_budget=args.budget,
-            population=args.population,
-            polish_frac=args.polish_frac,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        kernel=args.kernel,
-        n_seeds=args.restarts,
-        n_workers=args.workers or None,
-        tracer=tracer,
-    )
-    s = res.stitch
-    _emit_trace(tracer, args)
-    print(
-        f"{design.name} on {grid.name}: {s.n_placed} placed, "
-        f"{s.n_unplaced} unplaced, wirelength {s.wirelength:.1f}, "
-        f"cost {s.final_cost:.1f}"
-    )
-    print(
-        f"  converged at move {s.converged_at}/{s.iterations}, "
-        f"{s.illegal_moves} illegal moves, {res.total_tool_runs} tool runs"
-    )
-    if s.stats is not None:
-        st = s.stats
-        print(
-            f"  kernel={st.kernel} seed={st.seed} "
-            f"accept rate {st.accept_rate * 100:.1f}%, "
-            f"{st.total_s:.2f}s "
-            f"(init {st.initial_s:.2f} + generations {st.anneal_s:.2f} "
-            f"+ repair {st.fill_s:.2f})"
-        )
-    if args.render:
-        print(s.render())
-    if not res.ok:
-        print(res.infeasible.describe())
-        return 1
-    return 0
-
-
-def _cmd_temper(args: argparse.Namespace) -> int:
-    from repro.device import make_part
-    from repro.flow.design_io import load_design
-    from repro.flow.policy import FixedCF, MinimalCFPolicy
-    from repro.flow.rwflow import run_rw_flow
-    from repro.flow.tempering import PTParams
-
-    design = load_design(args.design)
-    grid = make_part(args.part)
-    policy = MinimalCFPolicy() if args.minimal else FixedCF(args.cf)
-    tracer = _make_tracer(args)
-    res = run_rw_flow(
-        design,
-        grid,
-        policy,
-        placer="pt",
-        pt_params=PTParams(
-            max_iters=args.budget,
-            n_chains=args.chains,
-            steps_per_round=args.steps_per_round,
-            swap_period=args.swap_period,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        kernel=args.kernel,
-        n_seeds=args.restarts,
-        n_workers=args.workers or None,
-        tracer=tracer,
-    )
-    s = res.stitch
-    _emit_trace(tracer, args)
-    print(
-        f"{design.name} on {grid.name}: {s.n_placed} placed, "
-        f"{s.n_unplaced} unplaced, wirelength {s.wirelength:.1f}, "
-        f"cost {s.final_cost:.1f}"
-    )
-    print(
-        f"  converged at move {s.converged_at}/{s.iterations}, "
-        f"{s.illegal_moves} illegal moves, {res.total_tool_runs} tool runs"
-    )
-    if s.stats is not None:
-        st = s.stats
-        print(
-            f"  kernel={st.kernel} seed={st.seed} "
-            f"accept rate {st.accept_rate * 100:.1f}%, "
-            f"{st.total_s:.2f}s "
-            f"(init {st.initial_s:.2f} + rounds {st.anneal_s:.2f} "
-            f"+ exchange {st.fill_s:.2f})"
-        )
-    if args.render:
-        print(s.render())
-    if not res.ok:
-        print(res.infeasible.describe())
-        return 1
-    return 0
-
-
-def _cmd_gplace(args: argparse.Namespace) -> int:
-    from repro.device import make_part
-    from repro.flow.design_io import load_design
-    from repro.flow.global_place import GPParams
-    from repro.flow.policy import FixedCF, MinimalCFPolicy
-    from repro.flow.rwflow import run_rw_flow
-    from repro.flow.stitcher import SAParams
-
-    design = load_design(args.design)
-    grid = make_part(args.part)
-    policy = MinimalCFPolicy() if args.minimal else FixedCF(args.cf)
-    tracer = _make_tracer(args)
-    res = run_rw_flow(
-        design,
-        grid,
-        policy,
-        placer="gp+sa" if args.polish_iters else "gp",
-        gp_params=GPParams(
-            n_iters=args.iters,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        sa_params=SAParams(
-            max_iters=args.polish_iters or 1,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        kernel=args.kernel,
-        n_seeds=args.restarts,
-        n_workers=args.workers or None,
-        tracer=tracer,
-    )
-    s = res.stitch
-    _emit_trace(tracer, args)
-    print(
-        f"{design.name} on {grid.name}: {s.n_placed} placed, "
-        f"{s.n_unplaced} unplaced, wirelength {s.wirelength:.1f}, "
-        f"cost {s.final_cost:.1f}"
-    )
-    mode = f"gp+sa ({s.iterations} kernel moves)" if args.polish_iters \
-        else "gp (0 kernel moves)"
-    print(
-        f"  {mode}, {s.illegal_moves} illegal moves, "
-        f"{res.total_tool_runs} tool runs"
-    )
-    if args.render:
-        print(s.render())
-    if not res.ok:
-        print(res.infeasible.describe())
-        return 1
-    return 0
+    return _finish(res)
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.device import make_part
-    from repro.flow.design_io import load_design
-    from repro.flow.policy import FixedCF, MinimalCFPolicy
-    from repro.flow.rwflow import run_rw_flow
-    from repro.flow.stitcher import SAParams
     from repro.route import block_critical_path, congestion_map
 
-    design = load_design(args.design)
-    grid = make_part(args.part)
-    policy = MinimalCFPolicy() if args.minimal else FixedCF(args.cf)
-    tracer = _make_tracer(args)
-    res = run_rw_flow(
-        design,
-        grid,
-        policy,
-        sa_params=SAParams(
-            max_iters=args.sa_iters,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        kernel=args.kernel,
-        n_seeds=args.restarts,
-        n_workers=args.workers or None,
-        tracer=tracer,
-    )
+    design, grid, res = _place_design(args)
     s = res.stitch
     footprints = {
         name: impl.outcome.result.footprint
@@ -778,12 +553,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
     }
     cmap = congestion_map(design, footprints, s, grid)
     timing = block_critical_path(design, footprints, s, module_delays)
-    _emit_trace(tracer, args)
-    print(
-        f"{design.name} on {grid.name}: {s.n_placed} placed, "
-        f"{s.n_unplaced} unplaced, wirelength {s.wirelength:.1f}, "
-        f"cost {s.final_cost:.1f}"
-    )
     print(
         f"  congestion: peak {cmap.peak_column_demand} "
         f"(mean {cmap.mean_column_demand:.1f}) wires/channel, "
@@ -801,10 +570,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         print("    " + " -> ".join(timing.path))
     if args.render:
         print(cmap.render())
-    if not res.ok:
-        print(res.infeasible.describe())
-        return 1
-    return 0
+    return _finish(res)
 
 
 def _find_git_root(start: Path) -> Path | None:
@@ -942,10 +708,7 @@ _COMMANDS = {
     "dataset": _cmd_dataset,
     "train": _cmd_train,
     "preimpl": _cmd_preimpl,
-    "stitch": _cmd_stitch,
-    "evolve": _cmd_evolve,
-    "temper": _cmd_temper,
-    "gplace": _cmd_gplace,
+    "place": _cmd_place,
     "route": _cmd_route,
     "lint": _cmd_lint,
     "trace": _cmd_trace,

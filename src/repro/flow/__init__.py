@@ -23,10 +23,8 @@
   the :class:`~repro.place_kernel.protocol.Placer` protocol;
 * :mod:`repro.flow.fanout` — the shared order-preserving process
   fan-out and pareto winner selection;
-* :mod:`repro.flow.restarts` — multi-seed placement restarts
-  (:func:`~repro.flow.restarts.stitch_best`,
-  :func:`~repro.flow.restarts.evolve_best`,
-  :func:`~repro.flow.restarts.temper_best`);
+* :mod:`repro.flow.restarts` — multi-seed restarts of any placer
+  (:func:`~repro.flow.restarts.best_of`);
 * :mod:`repro.flow.monolithic` — the flat "AMD EDA"-style whole-device
   flow used as the paper's baseline (Table I, Fig. 5a);
 * :mod:`repro.flow.rwflow` — the end-to-end RapidWright-style flow;
@@ -86,7 +84,7 @@ from repro.flow.prflow import (
     plan_partitions,
     refloorplan,
 )
-from repro.flow.restarts import evolve_best, stitch_best, temper_best
+from repro.flow.restarts import best_of
 from repro.flow.results import FlowComparison, compare_flows
 from repro.flow.rwflow import RWFlowResult, run_rw_flow
 from repro.flow.stitcher import (
@@ -137,11 +135,11 @@ __all__ = [
     "WarmStartedSAPlacer",
     "analyze_design",
     "apply_update",
+    "best_of",
     "cache_key",
     "compare_flows",
     "default_portfolio",
     "evolve",
-    "evolve_best",
     "generate_bitstream",
     "global_place",
     "grid_fingerprint",
@@ -156,7 +154,5 @@ __all__ = [
     "run_rw_flow",
     "save_design",
     "stitch",
-    "stitch_best",
     "temper",
-    "temper_best",
 ]

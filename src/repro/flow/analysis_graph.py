@@ -1,4 +1,4 @@
-"""Graph analysis of block designs (networkx-backed).
+"""Graph analysis of block designs.
 
 Structural diagnostics a frontend wants before compiling: connectivity,
 dataflow layering (pipeline stages), cut size between stages, and the
@@ -10,24 +10,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.flow.blockdesign import BlockDesign
+from repro.place_kernel.route_cost import dag_longest_paths
 
-__all__ = ["DesignGraphStats", "analyze_design", "to_networkx"]
+__all__ = ["DesignGraphStats", "analyze_design", "edge_weights"]
 
 
-def to_networkx(design: BlockDesign) -> "nx.DiGraph":
-    """The design's instance-connectivity graph (edge weight = bus width)."""
-    g = nx.DiGraph(name=design.name)
-    for inst in design.instances:
-        g.add_node(inst.name, module=inst.module)
+def edge_weights(design: BlockDesign) -> dict[tuple[str, str], int]:
+    """Instance-to-instance connectivity, parallel buses merged.
+
+    Maps ``(src, dst)`` to the summed bus width of every edge between
+    the two instances, in first-appearance order.
+    """
+    weights: dict[tuple[str, str], int] = {}
     for e in design.edges:
-        if g.has_edge(e.src, e.dst):
-            g[e.src][e.dst]["weight"] += e.width
-        else:
-            g.add_edge(e.src, e.dst, weight=e.width)
-    return g
+        weights[e.src, e.dst] = weights.get((e.src, e.dst), 0) + e.width
+    return weights
+
+
+def _n_components(n: int, pairs: list[tuple[int, int]]) -> int:
+    """Weakly connected components of ``n`` nodes (union-find)."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    components = n
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            components -= 1
+    return components
 
 
 @dataclass(frozen=True)
@@ -71,34 +88,39 @@ class DesignGraphStats:
 def analyze_design(design: BlockDesign) -> DesignGraphStats:
     """Compute structural diagnostics for ``design``."""
     design.validate()
-    g = to_networkx(design)
-    n_components = nx.number_weakly_connected_components(g) if len(g) else 0
-    is_dag = nx.is_directed_acyclic_graph(g)
+    index = {inst.name: i for i, inst in enumerate(design.instances)}
+    n = len(index)
+    weights = edge_weights(design)
+    pairs = [(index[src], index[dst]) for src, dst in weights]
+    # Unit node delay, zero edge delay: arrival[v] counts the instances on
+    # the longest path ending at v, so arrival - 1 is v's topological
+    # layer (and the longest path's hop count).
+    arrival, _leaving, _pred, cyclic = dag_longest_paths(
+        n, [(a, b, 0) for a, b in pairs], [1.0] * n, [0.0] * len(pairs)
+    )
+    is_dag = not any(cyclic)
 
     depth = -1
     max_cut = 0
-    if is_dag and len(g):
-        depth = nx.dag_longest_path_length(g, weight=None)  # hops, not bits
-        # Layer nodes topologically and measure the bus width crossing
-        # each boundary.
-        layer_of: dict[str, int] = {}
-        for i, layer in enumerate(nx.topological_generations(g)):
-            for node in layer:
-                layer_of[node] = i
-        n_layers = max(layer_of.values(), default=0) + 1
-        cuts = [0] * max(1, n_layers)
-        for u, v, data in g.edges(data=True):
-            for boundary in range(layer_of[u], layer_of[v]):
-                cuts[boundary] += data["weight"]
-        max_cut = max(cuts) if cuts else 0
+    if is_dag and n:
+        layer_of = [int(a) - 1 for a in arrival]
+        depth = max(layer_of)
+        # Bus width crossing each topological layer boundary.
+        cuts = [0] * (depth + 1)
+        for (a, b), width in zip(pairs, weights.values()):
+            for boundary in range(layer_of[a], layer_of[b]):
+                cuts[boundary] += width
+        max_cut = max(cuts)
 
-    max_fan_out = max((d for _, d in g.out_degree()), default=0)
+    fan_out = [0] * n
+    for a, _b in pairs:
+        fan_out[a] += 1
     reuse = design.n_instances / design.n_unique if design.n_unique else 0.0
     return DesignGraphStats(
-        n_components=n_components,
+        n_components=_n_components(n, pairs),
         is_dag=is_dag,
         depth=depth,
-        max_fan_out=max_fan_out,
+        max_fan_out=max(fan_out, default=0),
         reuse_ratio=reuse,
         max_cut_width=max_cut,
     )

@@ -415,6 +415,7 @@ def evolve(
         swap_accepts=st.swap_accepts,
         illegal_moves=st.illegal,
         temperature_trace=tuple(history),
+        phase_names=("", "init", "generations", "repair"),
     )
     return StitchResult(
         placements=placements,

@@ -1,11 +1,8 @@
 """Order-preserving job fan-out and winner selection for placement families.
 
-Every multi-run placement construct in the flow — the restart families
-(:func:`~repro.flow.restarts.stitch_best` /
-:func:`~repro.flow.restarts.evolve_best` /
-:func:`~repro.flow.restarts.temper_best`) and the parallel-tempering
-round loop (:mod:`repro.flow.tempering`) — shares the two primitives
-here:
+Every multi-run placement construct in the flow — the restart family
+(:func:`~repro.flow.restarts.best_of`) and the parallel-tempering round
+loop (:mod:`repro.flow.tempering`) — shares the two primitives here:
 
 * :class:`FanOut` — run batches of picklable jobs over worker processes
   (or serially), always merging results in *job order*, never completion

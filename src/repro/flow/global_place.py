@@ -430,6 +430,7 @@ def global_place(
         # The descent trajectory rides the trace slot the SA schedule
         # uses: (iteration, smooth objective) per gradient step.
         temperature_trace=tuple(traj),
+        phase_names=("", "init", "descent", "legalize"),
     )
     return StitchResult(
         placements=placements,

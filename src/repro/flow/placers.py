@@ -48,11 +48,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SAPlacer:
-    """The SA stitcher as a portfolio member."""
+    """The SA stitcher as a portfolio member.
+
+    ``initial_placements`` warm starts the anneal (the polish stage of
+    :class:`WarmStartedSAPlacer`); ``None`` anneals from the stitcher's
+    own initial placement.
+    """
 
     params: SAParams = field(default_factory=SAParams)
     kernel: str = "fast"
     name: str = "sa"
+    initial_placements: Mapping[str, tuple[int, int] | None] | None = None
 
     def place(
         self,
@@ -65,7 +71,8 @@ class SAPlacer:
     ) -> StitchResult:
         return stitch(
             design, dict(footprints), grid, self.params,
-            kernel=self.kernel, module_delays=module_delays, tracer=tracer,
+            kernel=self.kernel, initial_placements=self.initial_placements,
+            module_delays=module_delays, tracer=tracer,
         )
 
 
@@ -100,6 +107,9 @@ class AnalyticPlacer:
     HPWL descent plus legalization, zero kernel-op spend (gradient
     steps and snaps are uncharged).  Mostly useful as the warm-start
     producer; on its own it trades polish quality for near-zero budget.
+    It is a :class:`~repro.place_kernel.protocol.WarmStartPlacer` with
+    nothing to polish, so :func:`~repro.flow.restarts.best_of` runs it
+    once rather than restarting a deterministic descent.
     """
 
     params: GPParams = field(default_factory=GPParams)
@@ -119,6 +129,18 @@ class AnalyticPlacer:
             design, dict(footprints), grid, self.params,
             kernel=self.kernel, module_delays=module_delays, tracer=tracer,
         )
+
+    def warm_start(
+        self,
+        design: BlockDesign,
+        footprints: Mapping[str, Footprint],
+        grid: DeviceGrid,
+        *,
+        module_delays: Mapping[str, float] | None = None,
+        tracer: Tracer | NullTracer | None = None,
+    ) -> tuple[StitchResult, None]:
+        return self.place(design, footprints, grid,
+                          module_delays=module_delays, tracer=tracer), None
 
 
 @dataclass(frozen=True)
@@ -141,7 +163,8 @@ class WarmStartedSAPlacer:
       (``benchmarks/test_perf_warmstart.py``).
 
     Either way the pipeline returns the pareto-better of the warm
-    start and the polished result.
+    start and the polished result (fewer unplaced blocks first, then
+    lower cost; a tie keeps the warm start).
     """
 
     params: SAParams = field(default_factory=SAParams)
@@ -158,7 +181,7 @@ class WarmStartedSAPlacer:
     gp_params: GPParams | None = None
     name: str = "warm-sa"
 
-    def place(
+    def warm_start(
         self,
         design: BlockDesign,
         footprints: Mapping[str, Footprint],
@@ -166,7 +189,8 @@ class WarmStartedSAPlacer:
         *,
         module_delays: Mapping[str, float] | None = None,
         tracer: Tracer | NullTracer | None = None,
-    ) -> StitchResult:
+    ) -> tuple[StitchResult, SAPlacer]:
+        """Run the warm-start producer; return it and the polish anneal."""
         if self.warm not in ("ga", "gp"):
             raise ValueError(
                 f"unknown warm-start producer {self.warm!r}; "
@@ -184,18 +208,14 @@ class WarmStartedSAPlacer:
                 kernel=self.kernel, module_delays=module_delays,
                 tracer=tracer,
             )
-            anneal = replace(
-                self.params,
-                max_iters=max(1, int(self.params.max_iters * self.sa_frac)),
-            )
+            max_iters = int(self.params.max_iters * self.sa_frac)
         else:
-            warm_budget = max(1, int(self.params.max_iters * self.warm_frac))
             warm = evolve(
                 design,
                 dict(footprints),
                 grid,
                 GAParams(
-                    move_budget=warm_budget,
+                    move_budget=max(1, int(self.params.max_iters * self.warm_frac)),
                     unplaced_weight=self.params.unplaced_weight,
                     seed=self.params.seed,
                     congestion_weight=self.params.congestion_weight,
@@ -205,29 +225,32 @@ class WarmStartedSAPlacer:
                 module_delays=module_delays,
                 tracer=tracer,
             )
-            anneal = replace(
-                self.params,
-                max_iters=max(1, self.params.max_iters - warm.iterations),
-            )
-        result = stitch(
-            design,
-            dict(footprints),
-            grid,
-            anneal,
+            max_iters = self.params.max_iters - warm.iterations
+        polish = SAPlacer(
+            params=replace(self.params, max_iters=max(1, max_iters)),
             kernel=self.kernel,
             initial_placements=warm.placements,
-            module_delays=module_delays,
+        )
+        return warm, polish
+
+    def place(
+        self,
+        design: BlockDesign,
+        footprints: Mapping[str, Footprint],
+        grid: DeviceGrid,
+        *,
+        module_delays: Mapping[str, float] | None = None,
+        tracer: Tracer | NullTracer | None = None,
+    ) -> StitchResult:
+        warm, polish = self.warm_start(
+            design, footprints, grid, module_delays=module_delays,
             tracer=tracer,
         )
+        result = polish.place(design, footprints, grid,
+                              module_delays=module_delays, tracer=tracer)
         # A converged warm start can be better than the re-annealed
-        # result; the pipeline returns the better of the two.  The GA
-        # path keeps its historical cost-only comparison (pinned by the
-        # portfolio goldens); the gp path uses the shared pareto key.
-        if self.warm == "gp":
-            return min(warm, result, key=pareto_key)
-        if warm.final_cost < result.final_cost:
-            return warm
-        return result
+        # result; the pipeline returns the pareto-better of the two.
+        return min(warm, result, key=pareto_key)
 
 
 @dataclass(frozen=True)
@@ -235,14 +258,15 @@ class TemperedSAPlacer:
     """Cooperative parallel tempering as a portfolio member.
 
     Runs :func:`~repro.flow.tempering.temper`'s replica-exchange ladder
-    with its chains in-process (``n_workers=None``) — the DSE explorer
-    already fans variants out over processes, and the result is bitwise
-    identical either way.
+    with its chains fanned over ``n_workers`` processes (``None`` runs
+    them in-process, as the DSE explorer does — it already fans variants
+    out over processes).  The result is bitwise identical either way.
     """
 
     params: PTParams = field(default_factory=PTParams)
     kernel: str = "fast"
     name: str = "pt"
+    n_workers: int | None = None
 
     def place(
         self,
@@ -255,7 +279,8 @@ class TemperedSAPlacer:
     ) -> StitchResult:
         return temper(
             design, dict(footprints), grid, self.params,
-            kernel=self.kernel, module_delays=module_delays, tracer=tracer,
+            kernel=self.kernel, n_workers=self.n_workers,
+            module_delays=module_delays, tracer=tracer,
         )
 
 

@@ -15,7 +15,7 @@ loop, upgraded in three ways over the naive sequential version:
   implementation is a pure function of its content), so they fan out over
   ``n_workers`` processes.  Results are collected per-module and assembled
   in design order, making the output bitwise identical for any worker
-  count (the same discipline as :func:`~repro.flow.restarts.stitch_best`).
+  count (the same discipline as :func:`~repro.flow.restarts.best_of`).
 * **Failure aggregation** — an infeasible module no longer aborts the
   whole design.  Everything implementable is implemented; the failures are
   returned in a :class:`FlowInfeasibleReport` so the caller can stitch the

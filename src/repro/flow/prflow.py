@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.cache import ModuleCache
+from repro.flow.placers import SAPlacer
 from repro.flow.policy import CFPolicy
 from repro.flow.rwflow import RWFlowResult, run_rw_flow
 from repro.flow.stitcher import SAParams
@@ -171,8 +172,7 @@ def refloorplan(
         design,
         grid,
         policy,
-        sa_params=sa_params,
-        kernel=kernel,
+        placer=SAPlacer(sa_params or SAParams(), kernel=kernel),
         n_seeds=n_seeds,
         n_workers=n_workers,
         preimpl_workers=preimpl_workers,

@@ -1,12 +1,17 @@
-"""Multi-seed placement restarts (SA, GA and parallel tempering).
+"""Multi-seed placement restarts for any :class:`~repro.place_kernel.protocol.Placer`.
 
 Stochastic placers are cheap to restart and their final cost varies
 with the seed, so the classic quality lever (RapidLayout-style
 stochastic placement) is to run several independent seeds and keep the
-best run.  ``stitch_best`` does exactly that for the SA stitcher,
-``evolve_best`` for the GA evolver and ``temper_best`` for the
-parallel-tempering placer, fanning the seeds out over worker processes
-through the shared :class:`~repro.flow.fanout.FanOut`.
+best run.  :func:`best_of` does that for every placer in the portfolio:
+seed ``s`` of the family runs ``replace(placer, params=replace(
+placer.params, seed=s))``, fanned out over worker processes through the
+shared :class:`~repro.flow.fanout.FanOut`.
+
+A placer that starts from a warm start
+(:class:`~repro.place_kernel.protocol.WarmStartPlacer`) computes it
+once; only the polish placer it hands back is restarted, and the
+pipeline keeps the pareto-better of the warm start and the best polish.
 
 Winner selection is the shared pareto path
 (:func:`~repro.flow.fanout.best_result`): fewest unplaced blocks first,
@@ -18,7 +23,7 @@ alone (``tests/test_stitcher_restarts.py`` pins the regression).
 
 Determinism: the winner depends only on the seed list — results are
 collected in seed order and ties break toward the earliest seed — so the
-same seeds produce the same :class:`~repro.flow.stitcher.StitchResult`
+same seeds produce the same :class:`~repro.place_kernel.result.StitchResult`
 regardless of ``n_workers`` (enforced by
 ``tests/test_determinism_cross_process.py``).
 """
@@ -26,83 +31,44 @@ regardless of ``n_workers`` (enforced by
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.evolve import GAParams, evolve
 from repro.flow.fanout import FanOut, best_result, graft_traces
-from repro.flow.stitcher import SAParams, StitchResult, stitch
-from repro.flow.tempering import PTParams, temper
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
+from repro.place_kernel.protocol import Placer, WarmStartPlacer
+from repro.place_kernel.result import StitchResult, pareto_key
 
-__all__ = ["evolve_best", "stitch_best", "temper_best"]
+__all__ = ["best_of"]
 
 
-def _run_one(
+def _run_seed(
     args: tuple[
-        BlockDesign, dict[str, Footprint], DeviceGrid, SAParams, str,
-        Mapping[str, tuple[int, int] | None] | None,
+        Placer, BlockDesign, Mapping[str, Footprint], DeviceGrid,
         Mapping[str, float] | None, bool
     ],
-) -> tuple[StitchResult, dict | None]:
+) -> tuple[StitchResult, list[dict]]:
     """Worker entry point (module-level so it pickles).
 
-    When ``want_trace`` is set the seed's ``stitch`` span tree is
-    recorded into a worker-local tracer and returned alongside the
-    result, so the parent can graft every restart's phase breakdown into
-    its own trace exactly once regardless of worker count.
+    When ``want_trace`` is set the seed's span trees are recorded into a
+    worker-local tracer and returned alongside the result, so the parent
+    can graft every restart's phase breakdown into its own trace exactly
+    once regardless of worker count.
     """
-    design, footprints, grid, params, kernel, initial, delays, want_trace = args
+    placer, design, footprints, grid, delays, want_trace = args
     tr = Tracer() if want_trace else None
-    result = stitch(design, footprints, grid, params, kernel=kernel,
-                    initial_placements=initial, module_delays=delays,
-                    tracer=tr)
-    trace = tr.roots[0].to_json_dict() if tr else None
-    return result, trace
-
-
-def _run_one_evolve(
-    args: tuple[
-        BlockDesign, dict[str, Footprint], DeviceGrid, GAParams, str,
-        Mapping[str, float] | None, bool
-    ],
-) -> tuple[StitchResult, dict | None]:
-    """GA worker entry point (module-level so it pickles)."""
-    design, footprints, grid, params, kernel, delays, want_trace = args
-    tr = Tracer() if want_trace else None
-    result = evolve(design, footprints, grid, params, kernel=kernel,
-                    module_delays=delays, tracer=tr)
-    trace = tr.roots[0].to_json_dict() if tr else None
-    return result, trace
-
-
-def _run_one_temper(
-    args: tuple[
-        BlockDesign, dict[str, Footprint], DeviceGrid, PTParams, str,
-        Mapping[str, tuple[int, int] | None] | None,
-        Mapping[str, float] | None, bool
-    ],
-) -> tuple[StitchResult, dict | None]:
-    """Tempering worker entry point (module-level so it pickles).
-
-    Each restart runs its chains serially inside the worker — the
-    restart family is already the process-level fan-out.
-    """
-    design, footprints, grid, params, kernel, initial, delays, want_trace = args
-    tr = Tracer() if want_trace else None
-    result = temper(design, footprints, grid, params, kernel=kernel,
-                    initial_placements=initial, module_delays=delays,
-                    tracer=tr)
-    trace = tr.roots[0].to_json_dict() if tr else None
-    return result, trace
+    result = placer.place(design, footprints, grid, module_delays=delays,
+                          tracer=tr)
+    traces = [root.to_json_dict() for root in tr.roots] if tr else []
+    return result, traces
 
 
 def _seed_family(
     base_seed: int, n_seeds: int, seeds: Sequence[int] | None
 ) -> list[int]:
-    """Expand the restart family's seed list (shared by all families)."""
+    """Expand the restart family's seed list."""
     if seeds is None:
         if n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -113,156 +79,77 @@ def _seed_family(
     return seeds
 
 
-def stitch_best(
+def best_of(
+    placer: Placer,
     design: BlockDesign,
-    footprints: dict[str, Footprint],
+    footprints: Mapping[str, Footprint],
     grid: DeviceGrid,
-    params: SAParams | None = None,
     *,
+    seeds: Sequence[int] | None = None,
     n_seeds: int = 4,
     n_workers: int | None = None,
-    seeds: Sequence[int] | None = None,
-    kernel: str = "fast",
-    initial_placements: Mapping[str, tuple[int, int] | None] | None = None,
     module_delays: Mapping[str, float] | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> StitchResult:
-    """Anneal several independent seeds and return the best run.
+    """Run ``placer`` over several independent seeds and return the best run.
 
     Parameters
     ----------
-    design, footprints, grid, params:
-        As for :func:`~repro.flow.stitcher.stitch`; ``params.seed`` is
-        the base seed of the restart family.
+    placer:
+        Any portfolio placer (:mod:`repro.flow.placers`): a frozen
+        dataclass whose ``params.seed`` is the base seed of the family.
+    design, footprints, grid, module_delays:
+        As for :meth:`~repro.place_kernel.protocol.Placer.place`.
+    seeds:
+        Explicit seed list, overriding ``n_seeds``.
     n_seeds:
         Number of restarts when ``seeds`` is not given; seed ``k`` of the
-        family is ``params.seed + k``.
+        family is ``placer.params.seed + k``.
     n_workers:
         Worker processes to fan the seeds over.  ``None``, 0 or 1 runs
         serially in-process; the winner is identical either way.
-    seeds:
-        Explicit seed list, overriding ``n_seeds``.
-    kernel:
-        Move-kernel choice, forwarded to :func:`stitch`.
-    initial_placements:
-        Optional warm start every seed anneals from (the analytic
-        placer's legalized output in the ``gp+sa`` pipeline); forwarded
-        verbatim to each seed's :func:`stitch`.
-    module_delays:
-        Per-module delays (ns) for the timing cost term, forwarded
-        verbatim to each seed's :func:`stitch`.
     tracer:
-        Where the ``stitch.restarts`` span is recorded, with one child
-        ``stitch`` span per seed (merged back from the workers when the
-        seeds fan out); defaults to the ambient tracer.  With tracing
-        disabled each seed records into the private tracer
-        :func:`stitch` builds for its own :class:`StitchStats`.
+        Where the ``placer.restarts`` span (attribute ``placer=<name>``)
+        is recorded, with one child placer span per seed (merged back
+        from the workers when the seeds fan out); defaults to the
+        ambient tracer.  A warm start is recorded before that span.
 
     Returns
     -------
     StitchResult
         The pareto-best run — fewest unplaced blocks, then lowest
         ``final_cost`` (the same key ``DSEExplorer`` selects by); ties
-        break toward the earliest seed in the list.
-        ``result.stats.seed`` records the winning seed.
+        break toward the earliest seed in the list, and toward the warm
+        start for a warm-started placer.  ``result.stats.seed`` records
+        the winning seed.
     """
-    params = params or SAParams()
-    seeds = _seed_family(params.seed, n_seeds, seeds)
+    seeds = _seed_family(placer.params.seed, n_seeds, seeds)
     ambient = tracer if tracer is not None else current_tracer()
-    jobs = [
-        (design, footprints, grid, replace(params, seed=s), kernel,
-         initial_placements, module_delays, ambient.enabled)
-        for s in seeds
-    ]
-    return _best_of(jobs, _run_one, "stitch.restarts", ambient, n_workers)
-
-
-def evolve_best(
-    design: BlockDesign,
-    footprints: dict[str, Footprint],
-    grid: DeviceGrid,
-    params: GAParams | None = None,
-    *,
-    n_seeds: int = 4,
-    n_workers: int | None = None,
-    seeds: Sequence[int] | None = None,
-    kernel: str = "fast",
-    module_delays: Mapping[str, float] | None = None,
-    tracer: Tracer | NullTracer | None = None,
-) -> StitchResult:
-    """Evolve several independent GA seeds and return the best run.
-
-    The GA peer of :func:`stitch_best`: same seed-family expansion, same
-    process fan-out, same worker-count-independent pareto winner
-    (fewest unplaced blocks, then lowest ``final_cost``; results are
-    collected in seed order, ties break toward the earliest seed).  The
-    ``evolve.restarts`` span records one child ``evolve`` span per seed.
-    """
-    params = params or GAParams()
-    seeds = _seed_family(params.seed, n_seeds, seeds)
-    ambient = tracer if tracer is not None else current_tracer()
-    jobs = [
-        (design, footprints, grid, replace(params, seed=s), kernel,
-         module_delays, ambient.enabled)
-        for s in seeds
-    ]
-    return _best_of(jobs, _run_one_evolve, "evolve.restarts", ambient, n_workers)
-
-
-def temper_best(
-    design: BlockDesign,
-    footprints: dict[str, Footprint],
-    grid: DeviceGrid,
-    params: PTParams | None = None,
-    *,
-    n_seeds: int = 4,
-    n_workers: int | None = None,
-    seeds: Sequence[int] | None = None,
-    kernel: str = "fast",
-    initial_placements: Mapping[str, tuple[int, int] | None] | None = None,
-    module_delays: Mapping[str, float] | None = None,
-    tracer: Tracer | NullTracer | None = None,
-) -> StitchResult:
-    """Run several independent tempering seeds and return the best run.
-
-    The parallel-tempering peer of :func:`stitch_best`: same seed-family
-    expansion, same process fan-out, same worker-count-independent
-    pareto winner (``initial_placements``, when given, warm starts every
-    seed's chains the same way).  Each seed's chains run serially inside
-    its worker (the family is already the process-level fan-out); the
-    ``tempering.restarts`` span records one child ``tempering`` span per
-    seed.
-    """
-    params = params or PTParams()
-    seeds = _seed_family(params.seed, n_seeds, seeds)
-    ambient = tracer if tracer is not None else current_tracer()
-    jobs = [
-        (design, footprints, grid, replace(params, seed=s), kernel,
-         initial_placements, module_delays, ambient.enabled)
-        for s in seeds
-    ]
-    return _best_of(
-        jobs, _run_one_temper, "tempering.restarts", ambient, n_workers
-    )
-
-
-def _best_of(
-    jobs: list,
-    runner: Callable,
-    span_name: str,
-    ambient: Tracer | NullTracer,
-    n_workers: int | None,
-) -> StitchResult:
-    """Fan the seed jobs out, graft worker traces, keep the pareto-best run."""
+    name = placer.name
+    warm = None
+    if isinstance(placer, WarmStartPlacer):
+        warm, polish = placer.warm_start(
+            design, footprints, grid, module_delays=module_delays,
+            tracer=ambient,
+        )
+        if polish is None:
+            return warm
+        placer = polish
     want_trace = ambient.enabled
-    with ambient.span(span_name, n_seeds=len(jobs)) as sp:
+    jobs = [
+        (replace(placer, params=replace(placer.params, seed=s)), design,
+         footprints, grid, module_delays, want_trace)
+        for s in seeds
+    ]
+    with ambient.span("placer.restarts", placer=name,
+                      n_seeds=len(jobs)) as sp:
         with FanOut(n_workers, len(jobs)) as fan:
-            outcomes = fan.run(runner, jobs)
+            outcomes = fan.run(_run_seed, jobs)
         if want_trace:
-            graft_traces(ambient, [trace for _result, trace in outcomes])
+            graft_traces(ambient, [t for _res, traces in outcomes for t in traces])
 
-        best = best_result([result for result, _trace in outcomes])
+        best = best_result([result for result, _traces in outcomes])
         sp.set_attr("winner_seed", best.stats.seed if best.stats else None)
         sp.set_attr("best_cost", best.final_cost)
         sp.set_attr("best_unplaced", best.n_unplaced)
-    return best
+    return best if warm is None else min(warm, best, key=pareto_key)

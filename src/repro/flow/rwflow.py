@@ -26,13 +26,11 @@ from repro.flow.preimpl import (
     ImplementedModule,
     implement_design,
 )
-from repro.flow.evolve import GAParams, evolve
-from repro.flow.global_place import GPParams, global_place
-from repro.flow.restarts import evolve_best, stitch_best, temper_best
-from repro.flow.stitcher import SAParams, StitchResult, stitch
-from repro.flow.tempering import PTParams, temper
-from repro.place_kernel.result import pareto_key
+from repro.flow.placers import SAPlacer
+from repro.flow.restarts import best_of
+from repro.flow.stitcher import SAParams, StitchResult
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
+from repro.place_kernel.protocol import Placer
 
 __all__ = ["RWFlowResult", "run_rw_flow"]
 
@@ -91,11 +89,7 @@ def run_rw_flow(
     *,
     stitch_grid: DeviceGrid | None = None,
     sa_params: SAParams | None = None,
-    placer: str = "sa",
-    ga_params: GAParams | None = None,
-    pt_params: PTParams | None = None,
-    gp_params: GPParams | None = None,
-    kernel: str = "fast",
+    placer: Placer | None = None,
     n_seeds: int = 1,
     n_workers: int | None = None,
     preimpl_workers: int | None = None,
@@ -118,28 +112,16 @@ def run_rw_flow(
         sizes modules against the xc7z020 but evaluates estimator-driven
         stitching on the xc7z045 (§VIII).
     sa_params:
-        Stitcher annealing parameters (used when ``placer="sa"``).
+        Stitcher annealing parameters for the default placer.
     placer:
-        Which portfolio optimizer places the design: ``"sa"`` (the
-        annealing stitcher, the default), ``"ga"`` (the evolutionary
-        placer of :mod:`repro.flow.evolve`), ``"pt"`` (cooperative
-        parallel tempering, :mod:`repro.flow.tempering`), ``"gp"`` (the
-        analytic global placer of :mod:`repro.flow.global_place` alone)
-        or ``"gp+sa"`` (analytic warm start, then an anneal at *half*
-        the SA move budget — the warm-start pipeline's budget contract).
-    ga_params:
-        GA parameters when ``placer="ga"`` (``None`` = defaults).
-    pt_params:
-        Tempering parameters when ``placer="pt"`` (``None`` = defaults).
-    gp_params:
-        Analytic-placer parameters when ``placer`` is ``"gp"`` or
-        ``"gp+sa"`` (``None`` derives them from ``sa_params`` so the
-        costs stay comparable).
-    kernel:
-        Stitcher move-kernel (``"fast"`` or ``"reference"``).
+        The portfolio optimizer that places the design (any
+        :class:`~repro.place_kernel.protocol.Placer`, see
+        :mod:`repro.flow.placers`); ``None`` anneals with
+        ``SAPlacer(sa_params)``.
     n_seeds:
-        SA restarts; values > 1 stitch ``n_seeds`` independent seeds via
-        :func:`~repro.flow.restarts.stitch_best` and keep the best run.
+        Restarts; values > 1 run ``n_seeds`` independent seeds of
+        ``placer`` via :func:`~repro.flow.restarts.best_of` and keep the
+        pareto-best run.
     n_workers:
         Worker processes for the restarts (``None``/1 = serial).
     preimpl_workers:
@@ -153,11 +135,12 @@ def run_rw_flow(
     tracer:
         Where the flow's span tree is recorded: a ``flow`` root whose
         children are the pre-implementation's ``preimpl`` span and the
-        stitching's ``stitch`` (or ``stitch.restarts``) span.  Defaults
+        placer's span (``placer.restarts`` when restarting).  Defaults
         to the ambient tracer; a disabled tracer makes every flow-level
         span a no-op while the nested stages keep deriving their stats
         from private traces.
     """
+    placer = placer or SAPlacer(sa_params or SAParams())
     ambient = tracer if tracer is not None else current_tracer()
     with ambient.span("flow", design=design.name, grid=grid.name) as sp:
         pre = implement_design(
@@ -183,88 +166,16 @@ def run_rw_flow(
 
         missing = [i for i in design.instances if i.module not in footprints]
         stitchable = design if not missing else design.subset(set(footprints))
-        if placer not in ("sa", "ga", "pt", "gp", "gp+sa"):
-            raise ValueError(
-                f"unknown placer {placer!r}; "
-                "choose from ('sa', 'ga', 'pt', 'gp', 'gp+sa')"
-            )
         if stitchable.instances:
-            if placer == "ga":
-                if n_seeds > 1:
-                    result = evolve_best(
-                        stitchable, footprints, target, ga_params,
-                        n_seeds=n_seeds, n_workers=n_workers, kernel=kernel,
-                        module_delays=module_delays, tracer=ambient,
-                    )
-                else:
-                    result = evolve(
-                        stitchable, footprints, target, ga_params,
-                        kernel=kernel, module_delays=module_delays,
-                        tracer=ambient,
-                    )
-            elif placer == "pt":
-                if n_seeds > 1:
-                    result = temper_best(
-                        stitchable, footprints, target, pt_params,
-                        n_seeds=n_seeds, n_workers=n_workers, kernel=kernel,
-                        module_delays=module_delays, tracer=ambient,
-                    )
-                else:
-                    result = temper(
-                        stitchable, footprints, target, pt_params,
-                        kernel=kernel, n_workers=n_workers,
-                        module_delays=module_delays, tracer=ambient,
-                    )
-            elif placer in ("gp", "gp+sa"):
-                # The analytic placer is deterministic in its seed, so
-                # the restart family is meaningless for the gp stage;
-                # gp+sa fans the *polish* anneal out instead.
-                sa = sa_params or SAParams()
-                gp = gp_params or GPParams(
-                    unplaced_weight=sa.unplaced_weight, seed=sa.seed,
-                    congestion_weight=sa.congestion_weight,
-                    timing_weight=sa.timing_weight,
-                )
-                warm = global_place(
-                    stitchable, footprints, target, gp,
-                    kernel=kernel, module_delays=module_delays,
+            if n_seeds > 1:
+                result = best_of(
+                    placer, stitchable, footprints, target, n_seeds=n_seeds,
+                    n_workers=n_workers, module_delays=module_delays,
                     tracer=ambient,
                 )
-                if placer == "gp":
-                    result = warm
-                else:
-                    # Budget contract: the warm start is uncharged and
-                    # the polish anneal runs at half the SA budget, so
-                    # gp+sa spends <= 50% of the cold stitcher's kernel
-                    # ops (benchmarks/test_perf_warmstart.py).
-                    anneal = replace(sa, max_iters=max(1, sa.max_iters // 2))
-                    if n_seeds > 1:
-                        result = stitch_best(
-                            stitchable, footprints, target, anneal,
-                            n_seeds=n_seeds, n_workers=n_workers,
-                            kernel=kernel,
-                            initial_placements=warm.placements,
-                            module_delays=module_delays,
-                            tracer=ambient,
-                        )
-                    else:
-                        result = stitch(
-                            stitchable, footprints, target, anneal,
-                            kernel=kernel,
-                            initial_placements=warm.placements,
-                            module_delays=module_delays,
-                            tracer=ambient,
-                        )
-                    result = min(warm, result, key=pareto_key)
-            elif n_seeds > 1:
-                result = stitch_best(
-                    stitchable, footprints, target, sa_params,
-                    n_seeds=n_seeds, n_workers=n_workers, kernel=kernel,
-                    module_delays=module_delays, tracer=ambient,
-                )
             else:
-                result = stitch(
-                    stitchable, footprints, target, sa_params, kernel=kernel,
+                result = placer.place(
+                    stitchable, footprints, target,
                     module_delays=module_delays, tracer=ambient,
                 )
         else:  # nothing placeable: synthesize an empty stitching outcome

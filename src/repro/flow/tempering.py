@@ -40,7 +40,7 @@ spent), so ``temper(max_iters=N)``, ``stitch(max_iters=N)`` and
 ``evolve(move_budget=N)`` spend the same number of kernel operations
 and their costs are directly comparable — the equal-budget contract
 the perf-smoke gate (``benchmarks/test_perf_tempering.py``) compares
-tempering against :func:`~repro.flow.restarts.stitch_best` under.
+tempering against SA restarts (:func:`~repro.flow.restarts.best_of`) under.
 Like the SA stitcher's greedy initial and deterministic fill, exchange
 bookkeeping (config swaps, migration repaints) is not charged against
 the move budget.
@@ -48,8 +48,8 @@ the move budget.
 Within one run the global best is tracked by *cost* — all chains score
 the one shared objective (wirelength + unplaced penalty), exactly like
 the SA stitcher's ``best`` and the GA's ``best_fit``.  Selection
-*across* runs (``temper_best``, the DSE portfolio) uses the shared
-pareto key ``(n_unplaced, final_cost)`` from
+*across* runs (:func:`~repro.flow.restarts.best_of`, the DSE portfolio)
+uses the shared pareto key ``(n_unplaced, final_cost)`` from
 :func:`~repro.place_kernel.result.pareto_key`.
 """
 
@@ -580,6 +580,7 @@ def temper(
         swap_accepts=cdict["swap_accepts"],
         illegal_moves=cdict["illegal"],
         temperature_trace=tuple(temp_trace),
+        phase_names=("", "init", "rounds", "exchange"),
     )
     return StitchResult(
         placements=placements,

@@ -171,9 +171,7 @@ DEFAULT_SPAN_CONTRACT = SpanContract.from_dict(
             "preimpl",
             "dataset",
             "dse.evaluate",
-            "stitch.restarts",
-            "evolve.restarts",
-            "tempering.restarts",
+            "placer.restarts",
         ],
         "tree": {
             "flow": [
@@ -182,20 +180,16 @@ DEFAULT_SPAN_CONTRACT = SpanContract.from_dict(
                 "evolve",
                 "tempering",
                 "gplace",
-                "stitch.restarts",
-                "evolve.restarts",
-                "tempering.restarts",
+                "placer.restarts",
             ],
             "stitch": ["stitch.setup", "stitch.initial", "stitch.anneal", "stitch.fill"],
-            "stitch.restarts": ["stitch"],
+            "placer.restarts": ["stitch", "evolve", "tempering"],
             "evolve": ["evolve.init", "evolve.generations", "evolve.repair"],
-            "evolve.restarts": ["evolve"],
             "tempering": [
                 "tempering.init",
                 "tempering.rounds",
                 "tempering.exchange",
             ],
-            "tempering.restarts": ["tempering"],
             "gplace": ["gplace.init", "gplace.descent", "gplace.legalize"],
             "preimpl": ["preimpl.cache", "preimpl.implement"],
             "preimpl.implement": ["preimpl.module"],
@@ -211,9 +205,7 @@ DEFAULT_SPAN_CONTRACT = SpanContract.from_dict(
                 "evolve",
                 "tempering",
                 "gplace",
-                "stitch.restarts",
-                "evolve.restarts",
-                "tempering.restarts",
+                "placer.restarts",
             ],
         },
     }

@@ -16,7 +16,8 @@ drives the *same* primitives:
 * :mod:`repro.place_kernel.result` — the shared
   :class:`StitchResult`/:class:`StitchStats` outcome shape;
 * :mod:`repro.place_kernel.protocol` — the :class:`Placer` protocol the
-  optimizer portfolio is built on.
+  optimizer portfolio is built on, and its :class:`WarmStartPlacer`
+  refinement.
 
 Invariants (no overlap, in-bounds anchors, column-kind compatibility,
 hard-block pitch) are enforced across optimizers by
@@ -31,7 +32,7 @@ from repro.place_kernel.kernel import (
     make_kernel,
 )
 from repro.place_kernel.problem import PlacementProblem
-from repro.place_kernel.protocol import Placer
+from repro.place_kernel.protocol import Placer, WarmStartPlacer
 from repro.place_kernel.result import StitchResult, StitchStats
 from repro.place_kernel.route_cost import (
     CHANNEL_CAPACITY,
@@ -65,6 +66,7 @@ __all__ = [
     "StitchResult",
     "StitchStats",
     "UniformBuffer",
+    "WarmStartPlacer",
     "build_route_model",
     "channel_window",
     "column_capacities",

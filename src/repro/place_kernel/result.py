@@ -85,8 +85,10 @@ class StitchStats:
     :class:`StitchResult` equality.
 
     For the SA stitcher the four phases are setup/initial/anneal/fill;
-    the GA evolver maps its init/generations/repair spans onto
-    ``initial_s``/``anneal_s``/``fill_s`` so the shape stays identical.
+    the other optimizers map their own spans (GA init/generations/repair,
+    tempering init/rounds/exchange, analytic init/descent/legalize) onto
+    ``initial_s``/``anneal_s``/``fill_s`` so the shape stays identical,
+    and name them in ``phase_names``.
     """
 
     kernel: str
@@ -105,6 +107,16 @@ class StitchStats:
     #: ``(iteration, temperature)`` at the end of each temperature step
     #: (SA); ``(move_budget_used, best_cost)`` per generation (GA).
     temperature_trace: tuple[tuple[int, float], ...] = ()
+    #: Display names of the setup/initial/anneal/fill slots; an empty
+    #: name marks a slot the optimizer does not use.
+    phase_names: tuple[str, str, str, str] = ("setup", "initial", "anneal", "fill")
+
+    def breakdown(self) -> str:
+        """The phase timings as ``"name 0.01 + name 0.20 + ..."``."""
+        times = (self.setup_s, self.initial_s, self.anneal_s, self.fill_s)
+        return " + ".join(
+            f"{name} {t:.2f}" for name, t in zip(self.phase_names, times) if name
+        )
 
     @property
     def total_s(self) -> float:

@@ -15,21 +15,36 @@ class TestParser:
         assert args.part == "xc7z020"
 
     def test_stitch_defaults(self):
-        args = build_parser().parse_args(["stitch", "d.json"])
-        assert args.kernel == "fast"
+        args = build_parser().parse_args(["place", "d.json"])
+        assert args.placer == "sa"
+        assert args.budget == 20000
         assert args.restarts == 1
         assert args.workers == 0
         assert not args.minimal
 
-    def test_stitch_kernel_choices_mirror_library(self):
-        from repro.cli import _SA_KERNELS
-        from repro.flow.stitcher import KERNELS
-
-        assert tuple(_SA_KERNELS) == tuple(KERNELS)
-
     def test_stitch_cf_and_minimal_exclusive(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["stitch", "d.json", "--cf", "1.2", "--minimal"])
+            build_parser().parse_args(["place", "d.json", "--cf", "1.2", "--minimal"])
+
+    def test_place_rejects_unknown_placer(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["place", "d.json", "--placer", "tabu"])
+
+    def test_placer_choices_mirror_library(self):
+        """Every ``--placer`` choice builds a placer of that name."""
+        from repro.cli import _PLACERS, _build_placer
+        from repro.place_kernel import Placer
+
+        for name in _PLACERS:
+            args = build_parser().parse_args(["place", "d.json", "--placer", name])
+            placer = _build_placer(args)
+            assert isinstance(placer, Placer)
+            assert placer.name == name
+
+    def test_removed_placer_commands(self):
+        for cmd in ("stitch", "evolve", "temper", "gplace"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([cmd, "d.json"])
 
     def test_report_options(self):
         args = build_parser().parse_args(
@@ -211,31 +226,34 @@ class TestStitchCommand:
         return str(path)
 
     def test_stitch_runs(self, design_json, capsys):
-        assert main(["stitch", design_json, "--sa-iters", "800"]) == 0
+        assert main(["place", design_json, "--budget", "800"]) == 0
         out = capsys.readouterr().out
         assert "cli-stitch on xc7z020" in out
         assert "3 placed, 0 unplaced" in out
         assert "kernel=fast" in out
+        assert "setup" in out and "anneal" in out  # SA phase breakdown
 
     def test_evolve_defaults(self):
-        args = build_parser().parse_args(["evolve", "d.json"])
+        args = build_parser().parse_args(["place", "d.json", "--placer", "ga"])
         assert args.budget == 20000
         assert args.population == 16
         assert args.restarts == 1
-        assert args.kernel == "fast"
 
     def test_evolve_runs(self, design_json, capsys):
-        assert main(["evolve", design_json, "--budget", "800"]) == 0
+        assert main(["place", design_json, "--placer", "ga",
+                     "--budget", "800"]) == 0
         out = capsys.readouterr().out
         assert "cli-stitch on xc7z020" in out
         assert "placed" in out
         assert "generations" in out  # GA phase breakdown, not SA's
+        assert "anneal" not in out
 
     def test_evolve_restarts(self, design_json, capsys):
         assert (
             main(
                 [
-                    "evolve", design_json,
+                    "place", design_json,
+                    "--placer", "ga",
                     "--budget", "800",
                     "--restarts", "2",
                     "--seed", "1",
@@ -247,17 +265,16 @@ class TestStitchCommand:
         assert "kernel=fast" in out
 
     def test_temper_defaults(self):
-        args = build_parser().parse_args(["temper", "d.json"])
+        args = build_parser().parse_args(["place", "d.json", "--placer", "pt"])
         assert args.budget == 20000
         assert args.chains == 4
         assert args.steps_per_round == 250
         assert args.swap_period == 4
         assert args.restarts == 1
-        assert args.kernel == "fast"
 
     def test_temper_runs(self, design_json, capsys):
-        assert main(["temper", design_json, "--budget", "800",
-                     "--chains", "2"]) == 0
+        assert main(["place", design_json, "--placer", "pt",
+                     "--budget", "800", "--chains", "2"]) == 0
         out = capsys.readouterr().out
         assert "cli-stitch on xc7z020" in out
         assert "3 placed, 0 unplaced" in out
@@ -267,7 +284,8 @@ class TestStitchCommand:
         assert (
             main(
                 [
-                    "temper", design_json,
+                    "place", design_json,
+                    "--placer", "pt",
                     "--budget", "800",
                     "--chains", "2",
                     "--restarts", "2",
@@ -279,25 +297,39 @@ class TestStitchCommand:
         out = capsys.readouterr().out
         assert "kernel=fast" in out
 
+    @pytest.mark.parametrize("placer", ["gp", "gp+sa"])
+    def test_gplace_runs(self, design_json, capsys, placer):
+        assert main(["place", design_json, "--placer", placer,
+                     "--budget", "800", "--iters", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "3 placed, 0 unplaced" in out
+        assert f"{placer}: converged" in out
+
+    def test_gplace_polishes_at_half_budget(self, design_json, capsys):
+        assert main(["place", design_json, "--placer", "gp+sa",
+                     "--budget", "800", "--iters", "20"]) == 0
+        out = capsys.readouterr().out
+        # The polish anneal wins here, after 400 of the 800 budget moves.
+        assert "gp+sa: converged at move 4/400," in out
+
     def test_stitch_restarts_and_render(self, design_json, capsys):
         assert (
             main(
                 [
-                    "stitch", design_json,
-                    "--sa-iters", "800",
+                    "place", design_json,
+                    "--budget", "800",
                     "--restarts", "2",
-                    "--kernel", "reference",
                     "--render",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "kernel=reference" in out
+        assert "kernel=fast" in out
         assert "#" in out  # the occupancy map
 
     def test_route_weight_defaults(self):
-        for cmd in ("stitch", "evolve", "temper", "gplace", "route"):
+        for cmd in ("place", "route"):
             args = build_parser().parse_args([cmd, "d.json"])
             assert args.congestion_weight == 0.0
             assert args.timing_weight == 0.0
@@ -306,8 +338,8 @@ class TestStitchCommand:
         assert (
             main(
                 [
-                    "stitch", design_json,
-                    "--sa-iters", "800",
+                    "place", design_json,
+                    "--budget", "800",
                     "--congestion-weight", "0.5",
                     "--timing-weight", "0.1",
                 ]
@@ -319,7 +351,7 @@ class TestStitchCommand:
         assert "timing cost" in out
 
     def test_route_runs(self, design_json, capsys):
-        assert main(["route", design_json, "--sa-iters", "800"]) == 0
+        assert main(["route", design_json, "--budget", "800"]) == 0
         out = capsys.readouterr().out
         assert "cli-stitch on xc7z020" in out
         assert "congestion: peak" in out

@@ -44,14 +44,15 @@ payload = json.dumps(
 print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
-# stitch_best must pick the same winner in any interpreter and with any
+# best_of over the SA placer must pick the same winner in any interpreter and with any
 # worker count; __N_WORKERS__ is substituted before running.
 _RESTART_SNIPPET = """
 import hashlib, json
 from repro.device import xc7z020
 from repro.flow import SAParams
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.restarts import stitch_best
+from repro.flow.placers import SAPlacer
+from repro.flow.restarts import best_of
 from repro.place.shapes import Footprint
 from repro.device.column import ColumnKind
 from repro.rtlgen.base import RTLModule
@@ -64,16 +65,16 @@ for i in range(8):
     d.add_instance(f"i{i}", "m")
 for i in range(7):
     d.connect(f"i{i}", f"i{i+1}", width=4)
-best = stitch_best(d, {"m": fp}, xc7z020(),
-                   SAParams(max_iters=1500, seed=2),
-                   seeds=[2, 3, 4], n_workers=__N_WORKERS__)
+best = best_of(SAPlacer(SAParams(max_iters=1500, seed=2)),
+               d, {"m": fp}, xc7z020(),
+               seeds=[2, 3, 4], n_workers=__N_WORKERS__)
 placement = sorted((k, v) for k, v in best.placements.items())
 payload = json.dumps([placement, best.final_cost, best.stats.seed])
 print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
 
-# evolve_best (the GA placer) must be bitwise identical in any
+# best_of over the GA placer must be bitwise identical in any
 # interpreter and with any worker count; __N_WORKERS__ is substituted
 # before running.
 _EVOLVE_SNIPPET = """
@@ -81,7 +82,8 @@ import hashlib, json
 from repro.device import xc7z020
 from repro.device.column import ColumnKind
 from repro.flow.evolve import GAParams
-from repro.flow.restarts import evolve_best
+from repro.flow.placers import GAPlacer
+from repro.flow.restarts import best_of
 from repro.flow.blockdesign import BlockDesign
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
@@ -94,9 +96,9 @@ for i in range(8):
     d.add_instance(f"i{i}", "m")
 for i in range(7):
     d.connect(f"i{i}", f"i{i+1}", width=4)
-best = evolve_best(d, {"m": fp}, xc7z020(),
-                   GAParams(move_budget=1500, seed=2),
-                   seeds=[2, 3, 4], n_workers=__N_WORKERS__)
+best = best_of(GAPlacer(GAParams(move_budget=1500, seed=2)),
+               d, {"m": fp}, xc7z020(),
+               seeds=[2, 3, 4], n_workers=__N_WORKERS__)
 placement = sorted((k, v) for k, v in best.placements.items())
 payload = json.dumps([placement, best.final_cost, best.stats.seed])
 print(hashlib.sha256(payload.encode()).hexdigest())
@@ -146,7 +148,8 @@ from repro.device import xc7z020
 from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.global_place import GPParams, global_place
-from repro.flow.restarts import stitch_best
+from repro.flow.placers import SAPlacer
+from repro.flow.restarts import best_of
 from repro.flow.stitcher import SAParams
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
@@ -160,10 +163,10 @@ for i in range(8):
 for i in range(7):
     d.connect(f"i{i}", f"i{i+1}", width=4)
 warm = global_place(d, {"m": fp}, xc7z020(), GPParams(seed=2))
-best = stitch_best(d, {"m": fp}, xc7z020(),
-                   SAParams(max_iters=750, seed=2),
-                   seeds=[2, 3, 4], n_workers=__N_WORKERS__,
-                   initial_placements=warm.placements)
+best = best_of(SAPlacer(SAParams(max_iters=750, seed=2),
+                        initial_placements=warm.placements),
+               d, {"m": fp}, xc7z020(),
+               seeds=[2, 3, 4], n_workers=__N_WORKERS__)
 wp = sorted((k, v) for k, v in warm.placements.items())
 placement = sorted((k, v) for k, v in best.placements.items())
 payload = json.dumps([wp, warm.final_cost,

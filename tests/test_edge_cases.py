@@ -1,7 +1,5 @@
 """Edge-case and failure-injection tests across modules."""
 
-import pytest
-
 from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.policy import FixedCF

@@ -20,7 +20,7 @@ from repro.flow.placers import (
     WarmStartedSAPlacer,
     default_portfolio,
 )
-from repro.flow.restarts import evolve_best
+from repro.flow.restarts import best_of
 from repro.flow.stitcher import SAParams, stitch
 from repro.obs.tracer import Tracer
 from repro.place.shapes import Footprint
@@ -123,29 +123,31 @@ class TestEvolveBest:
     def test_beats_or_matches_every_seed(self, chain, z020):
         d, fps = chain
         params = GAParams(move_budget=800, seed=0)
-        best = evolve_best(d, fps, z020, params, n_seeds=3)
+        best = best_of(GAPlacer(params), d, fps, z020, n_seeds=3)
         for k in range(3):
             single = evolve(d, fps, z020, GAParams(move_budget=800, seed=k))
             assert best.final_cost <= single.final_cost
 
     def test_winner_seed_recorded(self, chain, z020):
         d, fps = chain
-        best = evolve_best(d, fps, z020, GAParams(move_budget=800, seed=0),
-                           seeds=[5, 6])
+        best = best_of(GAPlacer(GAParams(move_budget=800, seed=0)),
+                       d, fps, z020, seeds=[5, 6])
         assert best.stats.seed in (5, 6)
 
     def test_empty_seeds_rejected(self, chain, z020):
         d, fps = chain
         with pytest.raises(ValueError, match="seeds"):
-            evolve_best(d, fps, z020, GAParams(move_budget=100), seeds=[])
+            best_of(GAPlacer(GAParams(move_budget=100)), d, fps, z020,
+                    seeds=[])
 
     def test_restart_span_tree(self, chain, z020):
         d, fps = chain
         tr = Tracer()
-        evolve_best(d, fps, z020, GAParams(move_budget=400, seed=0),
-                    n_seeds=2, tracer=tr)
+        best_of(GAPlacer(GAParams(move_budget=400, seed=0)), d, fps, z020,
+                n_seeds=2, tracer=tr)
         root = tr.roots[0]
-        assert root.name == "evolve.restarts"
+        assert root.name == "placer.restarts"
+        assert root.attrs["placer"] == "ga"
         assert [c.name for c in root.children] == ["evolve", "evolve"]
 
 
@@ -181,6 +183,40 @@ class TestPlacers:
         assert a.placements == b.placements
         assert a.final_cost == b.final_cost
         assert a.occupancy.max(initial=0) <= 1
+
+    @pytest.mark.parametrize("warm", ["ga", "gp"])
+    def test_warm_start_winner_is_pareto(self, chain, z020, monkeypatch, warm):
+        """Regression: the GA warm start used to beat the polished anneal
+        on ``final_cost`` alone, so a cheaper warm start that left a
+        block unplaced won over a fully-placed polish."""
+        from repro.place_kernel.result import StitchStats
+
+        def fake(n_unplaced, cost):
+            stats = StitchStats(
+                kernel="fast", seed=0, setup_s=0.0, initial_s=0.0,
+                anneal_s=0.0, fill_s=0.0, move_attempts=0, place_attempts=0,
+                swap_attempts=0, move_accepts=0, place_accepts=0,
+                swap_accepts=0, illegal_moves=0,
+            )
+            return StitchResult(
+                placements={}, n_placed=12 - n_unplaced,
+                n_unplaced=n_unplaced, wirelength=cost, final_cost=cost,
+                iterations=100, converged_at=0, illegal_moves=0, stats=stats,
+            )
+
+        cheap_unplaced = fake(n_unplaced=1, cost=50.0)
+        polished = fake(n_unplaced=0, cost=100.0)
+        monkeypatch.setattr("repro.flow.placers.evolve",
+                            lambda *a, **k: cheap_unplaced)
+        monkeypatch.setattr("repro.flow.placers.global_place",
+                            lambda *a, **k: cheap_unplaced)
+        monkeypatch.setattr("repro.flow.placers.stitch",
+                            lambda *a, **k: polished)
+        d, fps = chain
+        placer = WarmStartedSAPlacer(
+            params=SAParams(max_iters=1500, seed=0), warm=warm
+        )
+        assert placer.place(d, fps, z020) is polished
 
     def test_portfolio_equal_budget(self):
         sa, ga, warm, pt, gpsa = default_portfolio(

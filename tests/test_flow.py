@@ -9,7 +9,7 @@ from repro.flow.preimpl import implement_design, implement_module
 from repro.netlist.stats import compute_stats
 from repro.place.quick import quick_place
 from repro.rtlgen.base import RTLModule
-from repro.rtlgen.constructs import RandomLogicCloud, SumOfSquares
+from repro.rtlgen.constructs import RandomLogicCloud
 from repro.synth.mapper import synthesize
 
 

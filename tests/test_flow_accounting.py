@@ -11,7 +11,6 @@ partial pool result.
 import pytest
 
 from repro.dataset.generate import generate_dataset
-from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.cache import ModuleCache
 from repro.flow.policy import FixedCF

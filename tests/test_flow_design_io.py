@@ -1,8 +1,10 @@
 """Tests for block-design serialization and graph analysis."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.flow.analysis_graph import analyze_design, to_networkx
+from repro.flow.analysis_graph import DesignGraphStats, analyze_design, edge_weights
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.design_io import (
     design_from_dict,
@@ -107,11 +109,12 @@ class TestGraphAnalysis:
         assert stats.depth > 10  # deep streaming pipeline
         assert stats.reuse_ratio == pytest.approx(175 / 74)
 
-    def test_to_networkx_weights_merge(self):
+    def test_edge_weights_merge(self):
         d = _design()
         d.connect("a0", "b0", width=8)  # parallel edge merges
-        g = to_networkx(d)
-        assert g["a0"]["b0"]["weight"] == 24
+        assert edge_weights(d)[("a0", "b0")] == 24
+        # The merged bus is what crosses the layer boundary.
+        assert analyze_design(d).max_cut_width == 24 + 16
 
     def test_disconnected_detected(self):
         d = BlockDesign(name="disc")
@@ -131,3 +134,83 @@ class TestGraphAnalysis:
         stats = analyze_design(d)
         assert not stats.is_dag
         assert stats.depth == -1
+
+
+def _networkx_stats(design: BlockDesign) -> DesignGraphStats:
+    """The graph statistics computed with networkx (test oracle only)."""
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    for inst in design.instances:
+        g.add_node(inst.name)
+    for e in design.edges:
+        if g.has_edge(e.src, e.dst):
+            g[e.src][e.dst]["weight"] += e.width
+        else:
+            g.add_edge(e.src, e.dst, weight=e.width)
+    is_dag = nx.is_directed_acyclic_graph(g)
+    depth, max_cut = -1, 0
+    if is_dag and len(g):
+        depth = nx.dag_longest_path_length(g, weight=None)
+        layer_of = {
+            node: i
+            for i, layer in enumerate(nx.topological_generations(g))
+            for node in layer
+        }
+        cuts = [0] * (max(layer_of.values()) + 1)
+        for u, v, data in g.edges(data=True):
+            for boundary in range(layer_of[u], layer_of[v]):
+                cuts[boundary] += data["weight"]
+        max_cut = max(cuts)
+    return DesignGraphStats(
+        n_components=nx.number_weakly_connected_components(g) if len(g) else 0,
+        is_dag=is_dag,
+        depth=depth,
+        max_fan_out=max((d for _, d in g.out_degree()), default=0),
+        reuse_ratio=(design.n_instances / design.n_unique
+                     if design.n_unique else 0.0),
+        max_cut_width=max_cut,
+    )
+
+
+def _random_design(n: int, edges: list[tuple[int, int, int]]) -> BlockDesign:
+    d = BlockDesign(name="random")
+    d.add_module(RTLModule.make("m", [RandomLogicCloud(n_luts=4)]))
+    for i in range(n):
+        d.add_instance(f"i{i}", "m")
+    for a, b, width in edges:
+        d.connect(f"i{a % n}", f"i{b % n}", width=width)
+    return d
+
+
+_edge_lists = st.lists(
+    st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(1, 9)),
+    max_size=30,
+)
+
+
+class TestGraphAnalysisMatchesNetworkx:
+    """``analyze_design`` agrees with networkx on every statistic."""
+
+    @given(st.integers(1, 12), _edge_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, n, edges):
+        d = _random_design(n, edges)
+        assert analyze_design(d) == _networkx_stats(d)
+
+    @given(st.integers(1, 12), _edge_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_random_dags(self, n, edges):
+        # Orient every edge forward so the graph is acyclic.
+        dag = [(min(a % n, b % n), max(a % n, b % n), w)
+               for a, b, w in edges if a % n != b % n]
+        d = _random_design(n, dag)
+        stats = analyze_design(d)
+        assert stats.is_dag
+        assert stats == _networkx_stats(d)
+
+    def test_empty_design(self):
+        d = _random_design(0, [])
+        assert analyze_design(d) == _networkx_stats(d)
+
+    def test_cnv(self, cnv):
+        assert analyze_design(cnv) == _networkx_stats(cnv)

@@ -11,7 +11,6 @@ invariants, the ``nearest_fit_y`` kernel primitive the legalizer snaps
 through, and the process-wide site-table cache.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,20 +176,47 @@ class TestWarmStartPipeline:
 
     def test_stitch_restarts_accept_warm_start(self):
         """initial_placements forwards through the restart fan-out."""
-        from repro.flow.restarts import stitch_best
+        from repro.flow.placers import SAPlacer
+        from repro.flow.restarts import best_of
 
         d, fps = _design_from_specs([(p, 8) for p in _PATTERNS[:4]])
         warm = global_place(d, fps, _GRID, GPParams(seed=0))
-        serial = stitch_best(
-            d, fps, _GRID, SAParams(max_iters=300, seed=0), n_seeds=2,
-            initial_placements=warm.placements,
-        )
-        pooled = stitch_best(
-            d, fps, _GRID, SAParams(max_iters=300, seed=0), n_seeds=2,
-            n_workers=2, initial_placements=warm.placements,
-        )
+        placer = SAPlacer(SAParams(max_iters=300, seed=0),
+                          initial_placements=warm.placements)
+        serial = best_of(placer, d, fps, _GRID, n_seeds=2)
+        pooled = best_of(placer, d, fps, _GRID, n_seeds=2, n_workers=2)
         assert serial.placements == pooled.placements
         assert serial.final_cost == pooled.final_cost
+
+
+    def test_best_of_runs_the_warm_start_once(self):
+        """Restarts share one analytic start and fan out only the polish."""
+        from repro.flow.restarts import best_of
+
+        d, fps = _design_from_specs([(p, 8) for p in _PATTERNS[:4]])
+        placer = WarmStartedSAPlacer(
+            params=SAParams(max_iters=600, seed=0), warm="gp", name="gp+sa",
+        )
+        tr = Tracer()
+        best = best_of(placer, d, fps, _GRID, n_seeds=3, tracer=tr)
+        assert [r.name for r in tr.roots] == ["gplace", "placer.restarts"]
+        restarts = tr.roots[1]
+        assert restarts.attrs["placer"] == "gp+sa"
+        assert [c.name for c in restarts.children] == ["stitch"] * 3
+        warm = global_place(d, fps, _GRID, GPParams(seed=0))
+        assert pareto_key(best) <= pareto_key(warm)
+
+    def test_best_of_runs_the_analytic_placer_once(self):
+        from repro.flow.restarts import best_of
+
+        d, fps = _design_from_specs([(p, 8) for p in _PATTERNS[:4]])
+        placer = AnalyticPlacer(GPParams(seed=0))
+        tr = Tracer()
+        best = best_of(placer, d, fps, _GRID, n_seeds=3, tracer=tr)
+        assert [r.name for r in tr.roots] == ["gplace"]
+        single = placer.place(d, fps, _GRID)
+        assert best.placements == single.placements
+        assert best.stats.seed == 0
 
 
 class TestNearestFitY:

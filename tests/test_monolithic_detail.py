@@ -1,10 +1,6 @@
 """Detailed tests of the flat ("AMD EDA") flow model."""
 
-import pytest
-
 from repro.cnv.design import cnv_design
-from repro.device.column import ColumnKind
-from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.monolithic import monolithic_flow
 from repro.rtlgen.base import RTLModule

@@ -20,6 +20,13 @@ from repro.flow.blockdesign import BlockDesign
 from repro.flow.cache import ModuleCache
 from repro.flow.evolve import GAParams
 from repro.flow.global_place import GPParams
+from repro.flow.placers import (
+    AnalyticPlacer,
+    GAPlacer,
+    SAPlacer,
+    TemperedSAPlacer,
+    WarmStartedSAPlacer,
+)
 from repro.flow.policy import FixedCF
 from repro.flow.rwflow import run_rw_flow
 from repro.flow.stitcher import SAParams
@@ -62,17 +69,18 @@ def cache() -> ModuleCache:
 
 def _flow(design, grid, cache, placer, n_seeds, n_workers):
     sa = SAParams(max_iters=600, seed=1)
-    kwargs = {
-        "sa": {},
-        "ga": {"ga_params": GAParams(move_budget=600, seed=1)},
-        "pt": {"pt_params": PTParams(max_iters=600, n_chains=2,
-                                     steps_per_round=50, seed=1)},
-        "gp": {"gp_params": GPParams(seed=1)},
-        "gp+sa": {"gp_params": GPParams(seed=1)},
-    }[placer]
+    placer = {
+        "sa": lambda: SAPlacer(sa),
+        "ga": lambda: GAPlacer(GAParams(move_budget=600, seed=1)),
+        "pt": lambda: TemperedSAPlacer(PTParams(max_iters=600, n_chains=2,
+                                                steps_per_round=50, seed=1)),
+        "gp": lambda: AnalyticPlacer(GPParams(seed=1)),
+        "gp+sa": lambda: WarmStartedSAPlacer(sa, warm="gp",
+                                             gp_params=GPParams(seed=1)),
+    }[placer]()
     return run_rw_flow(
-        design, grid, FixedCF(1.6), sa_params=sa, placer=placer,
-        n_seeds=n_seeds, n_workers=n_workers, cache=cache, **kwargs,
+        design, grid, FixedCF(1.6), placer=placer,
+        n_seeds=n_seeds, n_workers=n_workers, cache=cache,
     )
 
 

@@ -1,7 +1,6 @@
 """Tests for the inter-block routing-congestion map."""
 
 import numpy as np
-import pytest
 
 from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign

@@ -1,10 +1,11 @@
-"""Tests for multi-seed stitching restarts (:mod:`repro.flow.restarts`)."""
+"""Tests for multi-seed SA restarts (:func:`repro.flow.restarts.best_of`)."""
 
 import pytest
 
 from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.restarts import stitch_best
+from repro.flow.placers import SAPlacer
+from repro.flow.restarts import best_of
 from repro.flow.stitcher import SAParams, stitch
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
@@ -12,6 +13,13 @@ from repro.rtlgen.constructs import RandomLogicCloud
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
+
+
+def sa_best(design, footprints, grid, params=None, *, kernel="fast",
+                **kwargs):
+    """``best_of`` over the SA placer, the shape these tests pin."""
+    placer = SAPlacer(params or SAParams(), kernel=kernel)
+    return best_of(placer, design, footprints, grid, **kwargs)
 
 
 @pytest.fixture()
@@ -30,7 +38,7 @@ class TestStitchBest:
     def test_beats_or_matches_every_seed(self, chain, z020):
         d, fps = chain
         params = SAParams(max_iters=1500, seed=0)
-        best = stitch_best(d, fps, z020, params, n_seeds=4)
+        best = sa_best(d, fps, z020, params, n_seeds=4)
         for k in range(4):
             params_k = SAParams(max_iters=1500, seed=k)
             single = stitch(d, fps, z020, params_k)
@@ -39,7 +47,7 @@ class TestStitchBest:
     def test_single_seed_equals_stitch(self, chain, z020):
         d, fps = chain
         params = SAParams(max_iters=1000, seed=5)
-        best = stitch_best(d, fps, z020, params, n_seeds=1)
+        best = sa_best(d, fps, z020, params, n_seeds=1)
         single = stitch(d, fps, z020, params)
         assert best.placements == single.placements
         assert best.final_cost == single.final_cost
@@ -47,16 +55,16 @@ class TestStitchBest:
     def test_explicit_seed_list(self, chain, z020):
         d, fps = chain
         params = SAParams(max_iters=1000, seed=0)
-        best = stitch_best(d, fps, z020, params, seeds=[11, 12, 13])
+        best = sa_best(d, fps, z020, params, seeds=[11, 12, 13])
         assert best.stats is not None
         assert best.stats.seed in (11, 12, 13)
 
     def test_deterministic_and_worker_independent(self, chain, z020):
         d, fps = chain
         params = SAParams(max_iters=1000, seed=0)
-        serial = stitch_best(d, fps, z020, params, n_seeds=3, n_workers=None)
-        again = stitch_best(d, fps, z020, params, n_seeds=3, n_workers=1)
-        parallel = stitch_best(d, fps, z020, params, n_seeds=3, n_workers=2)
+        serial = sa_best(d, fps, z020, params, n_seeds=3, n_workers=None)
+        again = sa_best(d, fps, z020, params, n_seeds=3, n_workers=1)
+        parallel = sa_best(d, fps, z020, params, n_seeds=3, n_workers=2)
         assert serial.placements == again.placements == parallel.placements
         assert serial.final_cost == again.final_cost == parallel.final_cost
         assert serial.stats.seed == parallel.stats.seed
@@ -64,14 +72,14 @@ class TestStitchBest:
     def test_winner_records_seed(self, chain, z020):
         d, fps = chain
         params = SAParams(max_iters=1000, seed=7)
-        best = stitch_best(d, fps, z020, params, n_seeds=3)
+        best = sa_best(d, fps, z020, params, n_seeds=3)
         assert best.stats.seed in (7, 8, 9)
 
     def test_kernel_forwarded(self, chain, z020):
         d, fps = chain
         params = SAParams(max_iters=800, seed=0)
-        fast = stitch_best(d, fps, z020, params, n_seeds=2, kernel="fast")
-        ref = stitch_best(d, fps, z020, params, n_seeds=2, kernel="reference")
+        fast = sa_best(d, fps, z020, params, n_seeds=2, kernel="fast")
+        ref = sa_best(d, fps, z020, params, n_seeds=2, kernel="reference")
         assert fast.stats.kernel == "fast"
         assert ref.stats.kernel == "reference"
         assert fast.placements == ref.placements
@@ -80,9 +88,9 @@ class TestStitchBest:
     def test_invalid_arguments(self, chain, z020):
         d, fps = chain
         with pytest.raises(ValueError, match="n_seeds"):
-            stitch_best(d, fps, z020, n_seeds=0)
+            sa_best(d, fps, z020, n_seeds=0)
         with pytest.raises(ValueError, match="seeds"):
-            stitch_best(d, fps, z020, seeds=[])
+            sa_best(d, fps, z020, seeds=[])
 
 
 class TestFlowIntegration:
@@ -158,9 +166,9 @@ class TestParetoWinner:
                         tracer=None):
             return results[params.seed]
 
-        monkeypatch.setattr("repro.flow.restarts.stitch", fake_stitch)
+        monkeypatch.setattr("repro.flow.placers.stitch", fake_stitch)
         d, fps = chain
-        best = stitch_best(d, fps, z020, SAParams(seed=0), seeds=[0, 1],
+        best = sa_best(d, fps, z020, SAParams(seed=0), seeds=[0, 1],
                            n_workers=None)
         assert best.n_unplaced == 0
         assert best.final_cost == 100.0
@@ -179,9 +187,9 @@ class TestParetoWinner:
                         tracer=None):
             return results[params.seed]
 
-        monkeypatch.setattr("repro.flow.restarts.stitch", fake_stitch)
+        monkeypatch.setattr("repro.flow.placers.stitch", fake_stitch)
         d, fps = chain
-        best = stitch_best(d, fps, z020, SAParams(seed=0), seeds=[0, 1, 2],
+        best = sa_best(d, fps, z020, SAParams(seed=0), seeds=[0, 1, 2],
                            n_workers=None)
         assert best.stats.seed == 1
 
@@ -196,9 +204,9 @@ class TestParetoWinner:
                         tracer=None):
             return results[params.seed]
 
-        monkeypatch.setattr("repro.flow.restarts.stitch", fake_stitch)
+        monkeypatch.setattr("repro.flow.placers.stitch", fake_stitch)
         d, fps = chain
-        best = stitch_best(d, fps, z020, SAParams(seed=3), seeds=[3, 4],
+        best = sa_best(d, fps, z020, SAParams(seed=3), seeds=[3, 4],
                            n_workers=None)
         assert best.stats.seed == 3
 

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.netlist.cells import CellKind
 from repro.netlist.stats import compute_stats
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import (
