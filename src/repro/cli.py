@@ -11,8 +11,6 @@ Usage::
     python -m repro place design.json --cf 1.5 --restarts 4  # SA placement
     python -m repro place design.json --profile --trace-out trace.json
     python -m repro place design.json --placer ga --budget 20000  # GA placer
-    python -m repro place design.json --placer pt --chains 4  # parallel tempering
-    python -m repro place design.json --placer gp+sa  # analytic warm start + SA
     python -m repro route design.json --congestion-weight 0.5  # congestion/timing report
     python -m repro trace summarize trace.json  # render a saved trace
     python -m repro lint src benchmarks --format github  # static analysis
@@ -30,7 +28,7 @@ __all__ = ["main", "build_parser"]
 
 #: ``repro place --placer`` choices (kept literal so parser construction
 #: stays import-light); :func:`_build_placer` maps each to its placer.
-_PLACERS = ("sa", "ga", "pt", "gp", "gp+sa")
+_PLACERS = ("sa", "ga")
 
 
 def _add_trace_args(p: argparse.ArgumentParser) -> None:
@@ -61,31 +59,20 @@ def _add_placement_args(p: argparse.ArgumentParser) -> None:
     cf_group.add_argument("--minimal", action="store_true",
                           help="use the ground-truth minimal CF per module")
     p.add_argument("--placer", choices=_PLACERS, default="sa",
-                   help="placement optimizer: simulated annealing, genetic "
-                   "algorithm, parallel tempering, analytic global "
-                   "placement, or analytic warm start + SA")
+                   help="placement optimizer: simulated annealing or "
+                   "genetic algorithm")
     p.add_argument("--budget", type=int, default=20000,
-                   help="kernel-move budget cap (gp+sa polishes at half "
-                   "of it; gp spends none)")
+                   help="kernel-move budget")
     p.add_argument("--restarts", type=int, default=1,
                    help="independent seeds; the best run wins")
     p.add_argument("--workers", type=int, default=0,
-                   help="worker processes (seeds with --restarts > 1, "
-                   "pt chains for a single run; 0 = serial)")
+                   help="worker processes for the --restarts seeds "
+                   "(0 = serial)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--population", type=int, default=16,
                    help="GA population (--placer ga)")
     p.add_argument("--polish-frac", type=float, default=0.5,
                    help="trailing GA budget fraction spent hill-climbing")
-    p.add_argument("--chains", type=int, default=4,
-                   help="replica chains on the temperature ladder (pt)")
-    p.add_argument("--steps-per-round", type=int, default=250,
-                   help="moves per chain per synchronization round (pt)")
-    p.add_argument("--swap-period", type=int, default=4,
-                   help="rounds between replica-exchange events (pt)")
-    p.add_argument("--iters", type=int, default=100,
-                   help="analytic gradient-descent iterations (gp, gp+sa; "
-                   "uncharged)")
     p.add_argument("--render", action="store_true",
                    help="print the ASCII map (occupancy for place, "
                    "congestion heat map for route)")
@@ -433,43 +420,20 @@ def _cmd_preimpl(args: argparse.Namespace) -> int:
 def _build_placer(args: argparse.Namespace):
     """The ``--placer`` optimizer configured from the command line."""
     from repro.flow.evolve import GAParams
-    from repro.flow.global_place import GPParams
-    from repro.flow.placers import (
-        AnalyticPlacer,
-        GAPlacer,
-        SAPlacer,
-        TemperedSAPlacer,
-        WarmStartedSAPlacer,
-    )
+    from repro.flow.placers import GAPlacer, SAPlacer
     from repro.flow.stitcher import SAParams
-    from repro.flow.tempering import PTParams
 
     common = dict(
         seed=args.seed,
         congestion_weight=args.congestion_weight,
         timing_weight=args.timing_weight,
     )
-    sa = SAParams(max_iters=args.budget, **common)
-    gp = GPParams(n_iters=args.iters, **common)
-    # Restarts already fan out over processes; only a single tempering
-    # run spends --workers on its chains.
-    chain_workers = (args.workers or None) if args.restarts == 1 else None
-    return {
-        "sa": lambda: SAPlacer(sa),
-        "ga": lambda: GAPlacer(GAParams(
+    if args.placer == "ga":
+        return GAPlacer(GAParams(
             move_budget=args.budget, population=args.population,
             polish_frac=args.polish_frac, **common,
-        )),
-        "pt": lambda: TemperedSAPlacer(PTParams(
-            max_iters=args.budget, n_chains=args.chains,
-            steps_per_round=args.steps_per_round,
-            swap_period=args.swap_period, **common,
-        ), n_workers=chain_workers),
-        "gp": lambda: AnalyticPlacer(gp),
-        "gp+sa": lambda: WarmStartedSAPlacer(
-            sa, warm="gp", gp_params=gp, name="gp+sa"
-        ),
-    }[args.placer]()
+        ))
+    return SAPlacer(SAParams(max_iters=args.budget, **common))
 
 
 def _place_design(args: argparse.Namespace):

@@ -138,8 +138,8 @@ class DSEExplorer:
     placers:
         The optimizer portfolio run per variant: a sequence of
         :class:`~repro.place_kernel.protocol.Placer` objects, or the
-        string ``"portfolio"`` for the five default members — SA, GA,
-        GA-warm-started SA, parallel tempering and gp-warm-started SA
+        string ``"portfolio"`` for the three default members — SA, GA
+        and GA-warm-started SA
         (:func:`~repro.flow.placers.default_portfolio`) — at the
         ``sa_params`` move budget.  Every placer stitches each variant
         and the best placement (fewest unplaced, then lowest cost; ties

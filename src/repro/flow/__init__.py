@@ -13,14 +13,9 @@
   shared via :mod:`repro.place_kernel`);
 * :mod:`repro.flow.evolve` — the evolutionary (GA) macro placer driving
   the same move kernel and objective as the stitcher;
-* :mod:`repro.flow.tempering` — cooperative parallel tempering (replica
-  exchange across a ladder of SA chains over the same kernel);
-* :mod:`repro.flow.global_place` — the analytic global placer (smooth
-  HPWL gradient descent + column-aware legalization) feeding the SA
-  stitcher a near-legal warm start at zero kernel-op spend;
-* :mod:`repro.flow.placers` — the optimizer portfolio (SA, GA,
-  warm-started SA, parallel tempering, analytic-warm-started SA) behind
-  the :class:`~repro.place_kernel.protocol.Placer` protocol;
+* :mod:`repro.flow.placers` — the optimizer portfolio (SA, GA and
+  GA-warm-started SA) behind the
+  :class:`~repro.place_kernel.protocol.Placer` protocol;
 * :mod:`repro.flow.fanout` — the shared order-preserving process
   fan-out and pareto winner selection;
 * :mod:`repro.flow.restarts` — multi-seed restarts of any placer
@@ -49,13 +44,10 @@ from repro.flow.cache import (
 )
 from repro.flow.design_io import load_design, save_design
 from repro.flow.evolve import GAParams, evolve
-from repro.flow.global_place import GPParams, global_place
 from repro.flow.monolithic import MonolithicResult, monolithic_flow
 from repro.flow.placers import (
-    AnalyticPlacer,
     GAPlacer,
     SAPlacer,
-    TemperedSAPlacer,
     WarmStartedSAPlacer,
     default_portfolio,
 )
@@ -94,10 +86,8 @@ from repro.flow.stitcher import (
     StitchStats,
     stitch,
 )
-from repro.flow.tempering import PTParams, temper
 
 __all__ = [
-    "AnalyticPlacer",
     "Bitstream",
     "BlockDesign",
     "CacheStats",
@@ -112,7 +102,6 @@ __all__ = [
     "FlowStats",
     "GAParams",
     "GAPlacer",
-    "GPParams",
     "ImplementedModule",
     "Instance",
     "KERNELS",
@@ -122,7 +111,6 @@ __all__ = [
     "ModuleFlowStats",
     "MonolithicResult",
     "PRPlan",
-    "PTParams",
     "Partition",
     "PreImplResult",
     "RWFlowResult",
@@ -131,7 +119,6 @@ __all__ = [
     "StitchResult",
     "StitchStats",
     "SweepCF",
-    "TemperedSAPlacer",
     "WarmStartedSAPlacer",
     "analyze_design",
     "apply_update",
@@ -141,7 +128,6 @@ __all__ = [
     "default_portfolio",
     "evolve",
     "generate_bitstream",
-    "global_place",
     "grid_fingerprint",
     "implement_design",
     "implement_module",
@@ -154,5 +140,4 @@ __all__ = [
     "run_rw_flow",
     "save_design",
     "stitch",
-    "temper",
 ]

@@ -11,7 +11,8 @@ shared :class:`~repro.flow.fanout.FanOut`.
 A placer that starts from a warm start
 (:class:`~repro.place_kernel.protocol.WarmStartPlacer`) computes it
 once; only the polish placer it hands back is restarted, and the
-pipeline keeps the pareto-better of the warm start and the best polish.
+pipeline keeps the pareto-better of the warm start and the best polish
+(:func:`~repro.place_kernel.result.warm_start_winner`).
 
 Winner selection is the shared pareto path
 (:func:`~repro.flow.fanout.best_result`): fewest unplaced blocks first,
@@ -39,7 +40,7 @@ from repro.flow.fanout import FanOut, best_result, graft_traces
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
 from repro.place_kernel.protocol import Placer, WarmStartPlacer
-from repro.place_kernel.result import StitchResult, pareto_key
+from repro.place_kernel.result import StitchResult, warm_start_winner
 
 __all__ = ["best_of"]
 
@@ -128,13 +129,10 @@ def best_of(
     name = placer.name
     warm = None
     if isinstance(placer, WarmStartPlacer):
-        warm, polish = placer.warm_start(
+        warm, placer = placer.warm_start(
             design, footprints, grid, module_delays=module_delays,
             tracer=ambient,
         )
-        if polish is None:
-            return warm
-        placer = polish
     want_trace = ambient.enabled
     jobs = [
         (replace(placer, params=replace(placer.params, seed=s)), design,
@@ -152,4 +150,4 @@ def best_of(
         sp.set_attr("winner_seed", best.stats.seed if best.stats else None)
         sp.set_attr("best_cost", best.final_cost)
         sp.set_attr("best_unplaced", best.n_unplaced)
-    return best if warm is None else min(warm, best, key=pareto_key)
+    return best if warm is None else warm_start_winner(warm, best)

@@ -166,8 +166,6 @@ DEFAULT_SPAN_CONTRACT = SpanContract.from_dict(
             "flow",
             "stitch",
             "evolve",
-            "tempering",
-            "gplace",
             "preimpl",
             "dataset",
             "dse.evaluate",
@@ -178,19 +176,11 @@ DEFAULT_SPAN_CONTRACT = SpanContract.from_dict(
                 "preimpl",
                 "stitch",
                 "evolve",
-                "tempering",
-                "gplace",
                 "placer.restarts",
             ],
             "stitch": ["stitch.setup", "stitch.initial", "stitch.anneal", "stitch.fill"],
-            "placer.restarts": ["stitch", "evolve", "tempering"],
+            "placer.restarts": ["stitch", "evolve"],
             "evolve": ["evolve.init", "evolve.generations", "evolve.repair"],
-            "tempering": [
-                "tempering.init",
-                "tempering.rounds",
-                "tempering.exchange",
-            ],
-            "gplace": ["gplace.init", "gplace.descent", "gplace.legalize"],
             "preimpl": ["preimpl.cache", "preimpl.implement"],
             "preimpl.implement": ["preimpl.module"],
             "dataset": [
@@ -203,8 +193,6 @@ DEFAULT_SPAN_CONTRACT = SpanContract.from_dict(
             "dse.evaluate": [
                 "stitch",
                 "evolve",
-                "tempering",
-                "gplace",
                 "placer.restarts",
             ],
         },

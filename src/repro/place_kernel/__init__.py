@@ -45,7 +45,6 @@ from repro.place_kernel.sites import (
     HARD_KINDS,
     HARD_PITCH,
     SiteTable,
-    column_capacities,
     dilate_down,
     site_table,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "WarmStartPlacer",
     "build_route_model",
     "channel_window",
-    "column_capacities",
     "dilate_down",
     "edge_criticality",
     "make_kernel",

@@ -165,34 +165,6 @@ class PlacementKernel:
         """
         raise NotImplementedError
 
-    def nearest_fit_y(self, i: int, x: int, y_target: int) -> int | None:
-        """Legal anchor row for ``i`` in column ``x`` nearest ``y_target``.
-
-        Candidate rows walk outward from the snapped target on the
-        footprint's anchor-row grid; distance ties break toward the
-        lower row.  The analytic placer's legalization snap uses this to
-        keep the gradient solution's vertical position as closely as the
-        occupancy allows.  :class:`FastKernel` overrides this with a
-        free-mask bit scan producing the identical row.
-        """
-        y_max = self.y_max[i]
-        if y_max < 0:
-            return None
-        step = self.y_step[i]
-        t = min(max(y_target, 0), y_max)
-        t -= t % step
-        below, above = t, t + step
-        while below >= 0 or above <= y_max:
-            if below >= 0 and (above > y_max or t - below <= above - t):
-                if self.fits(i, x, below):
-                    return below
-                below -= step
-            else:
-                if self.fits(i, x, above):
-                    return above
-                above += step
-        return None
-
     def occupancy_array(self) -> np.ndarray:
         raise NotImplementedError
 
@@ -212,9 +184,9 @@ class PlacementKernel:
     def restore(self, positions: list[tuple[int, int] | None]) -> None:
         """Re-paint a snapshot of a legal placement onto an empty device.
 
-        The GA evolver and the tempering chains both round-trip
-        placements through position snapshots; restoring reuses the site
-        tables (the expensive part of construction) between runs.
+        The GA evolver round-trips placements through position
+        snapshots; restoring reuses the site tables (the expensive part
+        of construction) between runs.
         """
         self.clear()
         for i, p in enumerate(positions):
@@ -232,7 +204,7 @@ class PlacementKernel:
         ``None`` entries and missing names stay unplaced; an anchor
         that no longer fits (or overlaps an earlier one) leaves that
         instance unplaced rather than failing — the contract every
-        warm-started optimizer (stitch, temper) shares.
+        warm-started optimizer shares.
         """
         for i, name in enumerate(names):
             p = placements.get(name)
@@ -719,37 +691,6 @@ class FastKernel(PlacementKernel):
             return None
         return y
 
-    def nearest_fit_y(self, i: int, x: int, y_target: int) -> int | None:
-        # Same free-mask as lowest_fit_y, then one bit scan each way from
-        # the snapped target: highest set bit at-or-below vs lowest set
-        # bit above, ties toward the lower row — identical to the base
-        # class's outward probe walk.
-        t_tab = self.tables[self.table_of[i]]
-        allowed = t_tab.allowed_mask
-        if not allowed:
-            return None
-        bad = 0
-        cm = self.colmask
-        for c, _m, h in self.masks[i]:
-            col = cm[x + c]
-            if col:
-                bad |= dilate_down(col, h)
-        free = allowed & ~bad
-        if not free:
-            return None
-        step = self.y_step[i]
-        t = min(max(y_target, 0), self.y_max[i])
-        t -= t % step
-        below_mask = free & ((1 << (t + 1)) - 1)
-        above_mask = free >> (t + 1)
-        if not above_mask:
-            return below_mask.bit_length() - 1
-        above = (above_mask & -above_mask).bit_length() + t
-        if not below_mask:
-            return above
-        below = below_mask.bit_length() - 1
-        return below if t - below <= above - t else above
-
     def occupancy_array(self) -> np.ndarray:
         occ = np.zeros((self.grid.n_cols, self.grid.height_clbs), dtype=np.int16)
         for i in range(self.n):
@@ -847,25 +788,20 @@ def run_move_batch(
     u: UniformBuffer,
     cost: float,
     best: float,
-    snapshot: list | None = None,
 ) -> tuple[float, float, list[tuple[int, float]]]:
     """Run ``steps`` operations of the shared SA move mix at ``temp``.
 
     This is *the* move loop every optimizer in the flow executes — the
-    SA stitcher's anneal, the GA's polish/repair phase (at ``temp=0.0``)
-    and each parallel-tempering chain all call it, so their draw order
-    and acceptance behavior are identical by construction.  One call
+    SA stitcher's anneal and the GA's polish/repair phase (at
+    ``temp=0.0``) both call it, so their draw order and acceptance
+    behavior are identical by construction.  One call
     consumes exactly ``steps`` units of the shared kernel-operation
     budget (one unit == one SA iteration == one GA budget unit).
 
     ``placed_list`` / ``unplaced_list`` are mutated in place (membership
     changes on successful place moves).  Returns ``(cost, best,
     events)`` where ``events`` lists every new best as a 1-based
-    ``(op_offset, cost)`` pair within the batch.  When ``snapshot`` is a
-    list, the position vector at each new best replaces its contents —
-    the tempering chains need the best-*ever* placement, not the
-    batch-end state; left as ``None`` (the SA/GA callers) no copies are
-    made and the loop is unchanged.
+    ``(op_offset, cost)`` pair within the batch.
     """
     events: list[tuple[int, float]] = []
     p_either = p_place + p_swap
@@ -894,6 +830,4 @@ def run_move_batch(
         if cost < best - 1e-9:
             best = cost
             events.append((op, best))
-            if snapshot is not None:
-                snapshot[:] = [list(st.pos)]
     return cost, best, events

@@ -58,7 +58,7 @@ class Placer(Protocol):
 
 @runtime_checkable
 class WarmStartPlacer(Placer, Protocol):
-    """A placer whose run is a warm start followed by an optional polish.
+    """A placer whose run is a warm start followed by a polish.
 
     :func:`~repro.flow.restarts.best_of` computes the warm start once and
     restarts only the polish placer, so every seed of the family starts
@@ -73,11 +73,11 @@ class WarmStartPlacer(Placer, Protocol):
         *,
         module_delays: Mapping[str, float] | None = None,
         tracer: "Tracer | NullTracer | None" = None,
-    ) -> tuple[StitchResult, Placer | None]:
+    ) -> tuple[StitchResult, Placer]:
         """Run the warm start; return it and the placer that polishes it.
 
-        ``None`` as the polish placer means the warm start is the whole
-        run.  ``place`` returns the pareto-better of the warm start and
-        the polished result.
+        ``place`` returns the pareto-better of the warm start and the
+        polished result
+        (:func:`~repro.place_kernel.result.warm_start_winner`).
         """
         ...

@@ -10,11 +10,17 @@ optimizer produced a placement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["StitchResult", "StitchStats", "converge_history", "pareto_key"]
+__all__ = [
+    "StitchResult",
+    "StitchStats",
+    "converge_history",
+    "pareto_key",
+    "warm_start_winner",
+]
 
 
 def pareto_key(result: "StitchResult") -> tuple[int, float]:
@@ -29,6 +35,29 @@ def pareto_key(result: "StitchResult") -> tuple[int, float]:
     same way.
     """
     return (result.n_unplaced, result.final_cost)
+
+
+def warm_start_winner(
+    warm: "StitchResult", polished: "StitchResult"
+) -> "StitchResult":
+    """The pareto-better of a warm start and its polish, charged for both.
+
+    A tie keeps the warm start.  Either way ``iterations`` is the warm
+    start's moves plus the polish's, so a warm-started pipeline stays
+    comparable with a single optimizer at an equal budget; a winning
+    polish has its ``converged_at`` and ``history`` shifted onto that
+    axis (the polish's move 0 is the warm start's last move).
+    """
+    spent = warm.iterations + polished.iterations
+    if pareto_key(polished) < pareto_key(warm):
+        shift = warm.iterations
+        return replace(
+            polished,
+            iterations=spent,
+            converged_at=polished.converged_at + shift,
+            history=tuple((op + shift, cost) for op, cost in polished.history),
+        )
+    return replace(warm, iterations=spent)
 
 
 def converge_history(
@@ -85,10 +114,9 @@ class StitchStats:
     :class:`StitchResult` equality.
 
     For the SA stitcher the four phases are setup/initial/anneal/fill;
-    the other optimizers map their own spans (GA init/generations/repair,
-    tempering init/rounds/exchange, analytic init/descent/legalize) onto
+    the GA maps its own spans (init/generations/repair) onto
     ``initial_s``/``anneal_s``/``fill_s`` so the shape stays identical,
-    and name them in ``phase_names``.
+    and names them in ``phase_names``.
     """
 
     kernel: str

@@ -198,10 +198,10 @@ def edge_criticality(
 class RouteCostModel:
     """Configuration of the optional routing/timing cost terms.
 
-    Immutable and picklable: restart families and the tempering FanOut
-    ship it (or rebuild it from the same inputs) across process
-    boundaries, and a pure function of the problem plus the weights
-    guarantees every worker scores the identical objective.
+    Immutable and picklable: restart families ship it (or rebuild it
+    from the same inputs) across process boundaries, and a pure function
+    of the problem plus the weights guarantees every worker scores the
+    identical objective.
     """
 
     #: Weight of ``sum(max(0, channel demand - capacity))``.

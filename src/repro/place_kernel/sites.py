@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from weakref import WeakKeyDictionary
 
-import numpy as np
-
 from repro.device.column import ColumnKind
 from repro.device.grid import DeviceGrid
 from repro.place.shapes import Footprint
@@ -22,7 +20,6 @@ __all__ = [
     "HARD_KINDS",
     "HARD_PITCH",
     "SiteTable",
-    "column_capacities",
     "dilate_down",
     "site_table",
 ]
@@ -99,25 +96,6 @@ class SiteTable:
         self.allowed_mask = allowed
 
 
-def column_capacities(grid: DeviceGrid) -> np.ndarray:
-    """Per-column placeable CLB-row capacity of ``grid`` (float64 array).
-
-    Every footprint column occupies ``height`` CLB rows regardless of
-    kind (hard-block columns are painted at CLB-row granularity too), so
-    each placeable column contributes ``grid.height_clbs`` rows of
-    capacity.  Clock-spine columns can never appear in a footprint
-    pattern (:meth:`DeviceGrid.find_window` refuses to cross them), so
-    their capacity is zero — the analytic placer's density penalty uses
-    this to steer demand away from the spine, and the ``gplace`` device
-    utilization report sums it.
-    """
-    caps = np.full(grid.n_cols, float(grid.height_clbs), dtype=np.float64)
-    for col in grid.columns:
-        if col.kind is ColumnKind.CLOCK:
-            caps[col.x] = 0.0
-    return caps
-
-
 #: Process-local compatible-site tables keyed by (grid, footprint).
 #: A table is a pure, immutable function of its key, so sharing one
 #: object across kernels (and across ``clear()``/``restore()`` cycles)
@@ -133,7 +111,7 @@ def site_table(grid: DeviceGrid, fp: Footprint) -> SiteTable:
     """The shared :class:`SiteTable` for ``fp`` on ``grid`` (cached).
 
     Every kernel construction routes through here, so serial restart
-    families and the GA/tempering ``restore()`` round-trips pay the
+    families and the GA ``restore()`` round-trips pay the
     table derivation once per unique (grid, footprint) pair per process
     instead of once per seed.
     """

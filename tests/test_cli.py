@@ -27,8 +27,9 @@ class TestParser:
             build_parser().parse_args(["place", "d.json", "--cf", "1.2", "--minimal"])
 
     def test_place_rejects_unknown_placer(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["place", "d.json", "--placer", "tabu"])
+        for name in ("tabu", "pt", "gp", "gp+sa"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["place", "d.json", "--placer", name])
 
     def test_placer_choices_mirror_library(self):
         """Every ``--placer`` choice builds a placer of that name."""
@@ -263,54 +264,6 @@ class TestStitchCommand:
         )
         out = capsys.readouterr().out
         assert "kernel=fast" in out
-
-    def test_temper_defaults(self):
-        args = build_parser().parse_args(["place", "d.json", "--placer", "pt"])
-        assert args.budget == 20000
-        assert args.chains == 4
-        assert args.steps_per_round == 250
-        assert args.swap_period == 4
-        assert args.restarts == 1
-
-    def test_temper_runs(self, design_json, capsys):
-        assert main(["place", design_json, "--placer", "pt",
-                     "--budget", "800", "--chains", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "cli-stitch on xc7z020" in out
-        assert "3 placed, 0 unplaced" in out
-        assert "rounds" in out  # PT phase breakdown, not SA's
-
-    def test_temper_restarts(self, design_json, capsys):
-        assert (
-            main(
-                [
-                    "place", design_json,
-                    "--placer", "pt",
-                    "--budget", "800",
-                    "--chains", "2",
-                    "--restarts", "2",
-                    "--seed", "1",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "kernel=fast" in out
-
-    @pytest.mark.parametrize("placer", ["gp", "gp+sa"])
-    def test_gplace_runs(self, design_json, capsys, placer):
-        assert main(["place", design_json, "--placer", placer,
-                     "--budget", "800", "--iters", "20"]) == 0
-        out = capsys.readouterr().out
-        assert "3 placed, 0 unplaced" in out
-        assert f"{placer}: converged" in out
-
-    def test_gplace_polishes_at_half_budget(self, design_json, capsys):
-        assert main(["place", design_json, "--placer", "gp+sa",
-                     "--budget", "800", "--iters", "20"]) == 0
-        out = capsys.readouterr().out
-        # The polish anneal wins here, after 400 of the 800 budget moves.
-        assert "gp+sa: converged at move 4/400," in out
 
     def test_stitch_restarts_and_render(self, design_json, capsys):
         assert (

@@ -105,73 +105,35 @@ print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
 
-# Parallel tempering must be bitwise identical in any interpreter and
-# with any worker count — n_workers here fans the *chains* out inside
-# one temper() run, the tightest determinism contract in the flow;
+# GA-warm-started SA restarts must be bitwise identical in any
+# interpreter and with any restart worker count: best_of computes the
+# warm start once and fans the polish seeds out from its placements;
 # __N_WORKERS__ is substituted before running.
-_TEMPER_SNIPPET = """
+_WARM_SNIPPET = """
 import hashlib, json
 from repro.device import xc7z020
 from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.tempering import PTParams, temper
-from repro.place.shapes import Footprint
-from repro.rtlgen.base import RTLModule
-from repro.rtlgen.constructs import RandomLogicCloud
-
-d = BlockDesign(name="det-temper")
-d.add_module(RTLModule.make("m", [RandomLogicCloud(n_luts=4)]))
-fp = Footprint((ColumnKind.CLBLL, ColumnKind.CLBLM), (10, 10))
-for i in range(8):
-    d.add_instance(f"i{i}", "m")
-for i in range(7):
-    d.connect(f"i{i}", f"i{i+1}", width=4)
-res = temper(d, {"m": fp}, xc7z020(),
-             PTParams(max_iters=2000, n_chains=4, steps_per_round=100,
-                      seed=2),
-             n_workers=__N_WORKERS__)
-placement = sorted((k, v) for k, v in res.placements.items())
-payload = json.dumps([placement, res.final_cost, list(res.history),
-                      res.stats.move_attempts, res.stats.illegal_moves])
-print(hashlib.sha256(payload.encode()).hexdigest())
-"""
-
-
-# The gp+sa pipeline must be bitwise identical in any interpreter and
-# with any restart worker count: the analytic stage is pure seeded
-# numpy (one jitter draw, fixed iteration counts) and the polish
-# restarts fan its placements out verbatim; __N_WORKERS__ is
-# substituted before running.
-_GPLACE_SNIPPET = """
-import hashlib, json
-from repro.device import xc7z020
-from repro.device.column import ColumnKind
-from repro.flow.blockdesign import BlockDesign
-from repro.flow.global_place import GPParams, global_place
-from repro.flow.placers import SAPlacer
+from repro.flow.placers import WarmStartedSAPlacer
 from repro.flow.restarts import best_of
 from repro.flow.stitcher import SAParams
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
 
-d = BlockDesign(name="det-gplace")
+d = BlockDesign(name="det-warm")
 d.add_module(RTLModule.make("m", [RandomLogicCloud(n_luts=4)]))
 fp = Footprint((ColumnKind.CLBLL, ColumnKind.CLBLM), (10, 10))
 for i in range(8):
     d.add_instance(f"i{i}", "m")
 for i in range(7):
     d.connect(f"i{i}", f"i{i+1}", width=4)
-warm = global_place(d, {"m": fp}, xc7z020(), GPParams(seed=2))
-best = best_of(SAPlacer(SAParams(max_iters=750, seed=2),
-                        initial_placements=warm.placements),
+best = best_of(WarmStartedSAPlacer(SAParams(max_iters=1500, seed=2)),
                d, {"m": fp}, xc7z020(),
                seeds=[2, 3, 4], n_workers=__N_WORKERS__)
-wp = sorted((k, v) for k, v in warm.placements.items())
 placement = sorted((k, v) for k, v in best.placements.items())
-payload = json.dumps([wp, warm.final_cost,
-                      list(warm.stats.temperature_trace),
-                      placement, best.final_cost, best.stats.seed])
+payload = json.dumps([placement, best.final_cost, best.stats.seed,
+                      best.iterations, best.converged_at, list(best.history)])
 print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
@@ -205,20 +167,12 @@ class TestCrossProcessDeterminism:
         parallel = _run(_EVOLVE_SNIPPET.replace("__N_WORKERS__", "2"))
         assert serial == serial_again == parallel
 
-    def test_temper_worker_independent(self):
-        """One temper() run is bitwise identical across processes and
-        for any chain-level worker count."""
-        serial = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "0"))
-        serial_again = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "0"))
-        parallel = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "4"))
-        assert serial == serial_again == parallel
-
-    def test_gplace_warm_start_worker_independent(self):
-        """The analytic warm start and its polish restarts are bitwise
+    def test_warm_start_restarts_worker_independent(self):
+        """The GA warm start and its polish restarts are bitwise
         identical across processes and restart worker counts."""
-        serial = _run(_GPLACE_SNIPPET.replace("__N_WORKERS__", "0"))
-        serial_again = _run(_GPLACE_SNIPPET.replace("__N_WORKERS__", "0"))
-        parallel = _run(_GPLACE_SNIPPET.replace("__N_WORKERS__", "2"))
+        serial = _run(_WARM_SNIPPET.replace("__N_WORKERS__", "0"))
+        serial_again = _run(_WARM_SNIPPET.replace("__N_WORKERS__", "0"))
+        parallel = _run(_WARM_SNIPPET.replace("__N_WORKERS__", "2"))
         assert serial == serial_again == parallel
 
     def test_dataset_generation_worker_independent(self):

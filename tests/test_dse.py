@@ -100,17 +100,15 @@ class TestPortfolio:
         assert [p.name for p in explorer.placers] == ["sa"]
         assert explorer.evaluate("base").placer == "sa"
 
-    def test_portfolio_registers_all_five(self, z020):
+    def test_portfolio_registers_every_member(self, z020):
         ex = DSEExplorer(
             self._design(), z020, FixedCF(1.7),
             sa_params=SAParams(max_iters=1200, seed=0),
             placers="portfolio",
         )
-        assert [p.name for p in ex.placers] == [
-            "sa", "ga", "warm-sa", "pt", "gp+sa"
-        ]
+        assert [p.name for p in ex.placers] == ["sa", "ga", "warm-sa"]
         p = ex.evaluate("base")
-        assert p.placer in {"sa", "ga", "warm-sa", "pt", "gp+sa"}
+        assert p.placer in {"sa", "ga", "warm-sa"}
 
     def test_portfolio_no_worse_than_sa_alone(self, z020):
         """The portfolio keeps the pareto-best placement per scenario."""

@@ -25,6 +25,7 @@ from repro.flow.stitcher import SAParams, stitch
 from repro.obs.tracer import Tracer
 from repro.place.shapes import Footprint
 from repro.place_kernel import Placer, StitchResult
+from repro.place_kernel.result import pareto_key
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
 
@@ -155,9 +156,7 @@ class TestPlacers:
     def test_all_satisfy_protocol(self):
         for placer in default_portfolio():
             assert isinstance(placer, Placer)
-        assert {p.name for p in default_portfolio()} == {
-            "sa", "ga", "warm-sa", "pt", "gp+sa"
-        }
+        assert [p.name for p in default_portfolio()] == ["sa", "ga", "warm-sa"]
 
     def test_sa_placer_equals_stitch(self, chain, z020):
         d, fps = chain
@@ -184,8 +183,7 @@ class TestPlacers:
         assert a.final_cost == b.final_cost
         assert a.occupancy.max(initial=0) <= 1
 
-    @pytest.mark.parametrize("warm", ["ga", "gp"])
-    def test_warm_start_winner_is_pareto(self, chain, z020, monkeypatch, warm):
+    def test_warm_start_winner_is_pareto(self, chain, z020, monkeypatch):
         """Regression: the GA warm start used to beat the polished anneal
         on ``final_cost`` alone, so a cheaper warm start that left a
         block unplaced won over a fully-placed polish."""
@@ -208,30 +206,63 @@ class TestPlacers:
         polished = fake(n_unplaced=0, cost=100.0)
         monkeypatch.setattr("repro.flow.placers.evolve",
                             lambda *a, **k: cheap_unplaced)
-        monkeypatch.setattr("repro.flow.placers.global_place",
-                            lambda *a, **k: cheap_unplaced)
         monkeypatch.setattr("repro.flow.placers.stitch",
                             lambda *a, **k: polished)
         d, fps = chain
-        placer = WarmStartedSAPlacer(
-            params=SAParams(max_iters=1500, seed=0), warm=warm
+        placer = WarmStartedSAPlacer(params=SAParams(max_iters=1500, seed=0))
+        res = placer.place(d, fps, z020)
+        assert (res.placements, res.n_unplaced, res.final_cost) == (
+            polished.placements, polished.n_unplaced, polished.final_cost
         )
-        assert placer.place(d, fps, z020) is polished
+        # Both stages' moves are charged; the polish's curve follows the
+        # warm start's 100 moves.
+        assert res.iterations == 200
+        assert res.converged_at == 100
+
+    def test_warm_sa_charges_warm_start_and_polish(self, chain, z020):
+        """Regression: warm-sa reported only the winner's own moves, so a
+        polished result dropped the warm start's ops from ``iterations``."""
+        d, fps = chain
+        placer = WarmStartedSAPlacer(params=SAParams(max_iters=1500, seed=0))
+        warm, polish = placer.warm_start(d, fps, z020)
+        spent = warm.iterations + polish.place(d, fps, z020).iterations
+        assert spent == 1500
+        for res in (placer.place(d, fps, z020),
+                    best_of(placer, d, fps, z020, n_seeds=2)):
+            assert res.iterations == spent
+            assert res.converged_at <= res.iterations
+            assert all(op <= res.iterations for op, _cost in res.history)
+
+    def test_stitch_restarts_accept_warm_start(self, chain, z020):
+        """initial_placements forwards through the restart fan-out."""
+        d, fps = chain
+        warm = evolve(d, fps, z020, GAParams(move_budget=300, seed=0))
+        placer = SAPlacer(SAParams(max_iters=300, seed=0),
+                          initial_placements=warm.placements)
+        serial = best_of(placer, d, fps, z020, n_seeds=2)
+        pooled = best_of(placer, d, fps, z020, n_seeds=2, n_workers=2)
+        assert serial.placements == pooled.placements
+        assert serial.final_cost == pooled.final_cost
+
+    def test_best_of_runs_the_warm_start_once(self, chain, z020):
+        """Restarts share one GA start and fan out only the polish."""
+        d, fps = chain
+        placer = WarmStartedSAPlacer(params=SAParams(max_iters=600, seed=0))
+        tr = Tracer()
+        best = best_of(placer, d, fps, z020, n_seeds=3, tracer=tr)
+        assert [r.name for r in tr.roots] == ["evolve", "placer.restarts"]
+        restarts = tr.roots[1]
+        assert restarts.attrs["placer"] == "warm-sa"
+        assert [c.name for c in restarts.children] == ["stitch"] * 3
+        warm, _polish = placer.warm_start(d, fps, z020)
+        assert pareto_key(best) <= pareto_key(warm)
 
     def test_portfolio_equal_budget(self):
-        sa, ga, warm, pt, gpsa = default_portfolio(
-            SAParams(max_iters=4321, seed=9)
-        )
+        sa, ga, warm = default_portfolio(SAParams(max_iters=4321, seed=9))
+        assert sa.params.max_iters == 4321
         assert ga.params.move_budget == 4321
         assert ga.params.seed == 9
         assert warm.params.max_iters == 4321
-        assert pt.params.max_iters == 4321
-        assert pt.params.seed == 9
-        # The gp+sa member polishes at half the cap (its warm start is
-        # uncharged), so it never exceeds the portfolio budget.
-        assert gpsa.warm == "gp"
-        assert gpsa.params.max_iters == 4321
-        assert gpsa.sa_frac == 0.5
 
 
 class TestStitchWarmStart:

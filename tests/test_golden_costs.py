@@ -15,7 +15,6 @@ from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.evolve import GAParams, evolve
 from repro.flow.stitcher import SAParams, stitch
-from repro.flow.tempering import PTParams, temper
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
@@ -40,31 +39,6 @@ _GA_GOLDEN = {
     1: {"final_cost": 5034.0, "wirelength": 74.0, "n_placed": 8},
     2: {"final_cost": 5036.0, "wirelength": 76.0, "n_placed": 8},
 }
-
-#: PTParams(max_iters=3000, n_chains=4, steps_per_round=100, seed=s) on
-#: the same fixture — pins the tempering round plan, exchange schedule
-#: and RNG stream layout (any change to the merge order or the exchange
-#: draws shows up here as an exact-equality failure).
-_PT_GOLDEN = {
-    0: {"final_cost": 5033.0, "wirelength": 73.0, "n_placed": 8,
-        "converged_at": 900},
-    1: {"final_cost": 5080.0, "wirelength": 120.0, "n_placed": 8,
-        "converged_at": 1300},
-    2: {"final_cost": 5082.0, "wirelength": 122.0, "n_placed": 8,
-        "converged_at": 2400},
-}
-
-#: GPParams(seed=s) defaults on the same fixture — pins the analytic
-#: placer's full determinism surface (jitter draw, descent arithmetic,
-#: legalization snap order) on both kernels.  The seed only perturbs
-#: the symmetry-breaking jitter, so nearby seeds may legalize
-#: identically; all three pinning the same costs is expected.
-_GP_GOLDEN = {
-    0: {"final_cost": 5287.0, "wirelength": 327.0, "n_placed": 8},
-    1: {"final_cost": 5317.0, "wirelength": 357.0, "n_placed": 8},
-    2: {"final_cost": 5317.0, "wirelength": 357.0, "n_placed": 8},
-}
-
 
 def _mixed_design(n: int) -> tuple[BlockDesign, dict[str, Footprint]]:
     """The equivalence-suite fixture, frozen here for golden stability."""
@@ -112,41 +86,6 @@ class TestGAGoldens:
         assert res.wirelength == g["wirelength"]
         assert res.n_placed == g["n_placed"]
         assert res.iterations == 3000
-
-
-@pytest.mark.parametrize("seed", sorted(_PT_GOLDEN))
-@pytest.mark.parametrize("kernel", ["fast", "reference"])
-class TestPTGoldens:
-    def test_pt_matches_golden(self, z020, seed, kernel):
-        d, fps = _mixed_design(12)
-        res = temper(
-            d, fps, z020,
-            PTParams(max_iters=3000, n_chains=4, steps_per_round=100,
-                     seed=seed),
-            kernel=kernel,
-        )
-        g = _PT_GOLDEN[seed]
-        assert res.final_cost == g["final_cost"]
-        assert res.wirelength == g["wirelength"]
-        assert res.n_placed == g["n_placed"]
-        assert res.converged_at == g["converged_at"]
-        assert res.iterations == 3000
-
-
-@pytest.mark.parametrize("seed", sorted(_GP_GOLDEN))
-@pytest.mark.parametrize("kernel", ["fast", "reference"])
-class TestGPGoldens:
-    def test_gp_matches_golden(self, z020, seed, kernel):
-        from repro.flow.global_place import GPParams, global_place
-
-        d, fps = _mixed_design(12)
-        res = global_place(d, fps, z020, GPParams(seed=seed), kernel=kernel)
-        g = _GP_GOLDEN[seed]
-        assert res.final_cost == g["final_cost"]
-        assert res.wirelength == g["wirelength"]
-        assert res.n_placed == g["n_placed"]
-        # The budget contract: analytic placement is uncharged.
-        assert res.iterations == 0
 
 
 class TestPortfolioComparability:

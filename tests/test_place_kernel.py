@@ -32,6 +32,7 @@ from repro.place_kernel import (
     UniformBuffer,
     dilate_down,
     make_kernel,
+    site_table,
 )
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
@@ -240,3 +241,30 @@ class TestKernelPrimitives:
     def test_uniform_index_in_range(self):
         u = UniformBuffer(np.random.default_rng(0), block=16)
         assert all(0 <= u.index(7) < 7 for _ in range(200))
+
+
+class TestSiteInfrastructure:
+    def test_site_tables_cached_per_grid(self):
+        """Rebuilding a kernel on the same grid reuses the same tables."""
+        fp = Footprint((_LL, _LM), (6, 6))
+        assert site_table(_GRID, fp) is site_table(_GRID, fp)
+        problem = _build([((_LL, _LM), 6)])
+        a = problem.make_kernel("fast", 40.0)
+        b = problem.make_kernel("fast", 40.0)
+        assert a.tables[0] is b.tables[0]
+
+    def test_cache_survives_restore_clear_cycles(self):
+        """Snapshot/restore churn never invalidates the shared tables."""
+        problem = _build([((_LL,), 5), ((_LM,), 5)])
+        kb = problem.make_kernel("fast", 40.0)
+        tables = list(kb.tables)
+        kb.greedy_initial()
+        snap = list(kb.pos)
+        kb.clear()
+        kb.restore(snap)
+        kb2 = problem.make_kernel("fast", 40.0)
+        assert all(x is y for x, y in zip(tables, kb2.tables))
+
+    def test_distinct_grids_do_not_share(self, tiny_grid):
+        fp = Footprint((_LL,), (4,))
+        assert site_table(_GRID, fp) is not site_table(tiny_grid, fp)
