@@ -77,6 +77,58 @@ def test_perf_tree_fit(benchmark):
     assert model.depth() > 2
 
 
+def test_perf_grid_queries(monkeypatch):
+    """Table-driven grid queries must beat the column-scanning loops 5x.
+
+    This is the CI perf-smoke gate for the device grid: it records every
+    ``find_window`` / ``caps_in_rect`` call of one 30-module labeling,
+    then replays the same argument tuples through the grid and through
+    the reference loops kept in ``tests/grid_reference.py``.  Both must
+    give equal answers, and the grid must take at most a fifth of the
+    reference's time, measured on the same machine (best of three).
+    """
+    import time
+
+    from repro.dataset.generate import generate_dataset
+    from repro.device.grid import DeviceGrid
+    from tests.grid_reference import reference_caps_in_rect, reference_find_window
+
+    calls: dict[str, list] = {"find_window": [], "caps_in_rect": []}
+    for name, recorded in calls.items():
+        original = getattr(DeviceGrid, name)
+
+        def record(self, *args, _log=recorded, _fn=original, **kwargs):
+            _log.append((self, args, kwargs))
+            return _fn(self, *args, **kwargs)
+
+        monkeypatch.setattr(DeviceGrid, name, record)
+    generate_dataset(30, seed=0)
+    monkeypatch.undo()
+    assert calls["find_window"] and calls["caps_in_rect"]
+
+    def replay(find_window, caps_in_rect) -> tuple[list, list, float, float]:
+        t_window, t_caps = [], []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            windows = [find_window(g, *a, **k) for g, a, k in calls["find_window"]]
+            t1 = time.perf_counter()
+            caps = [caps_in_rect(g, *a, **k) for g, a, k in calls["caps_in_rect"]]
+            t_window.append(t1 - t0)
+            t_caps.append(time.perf_counter() - t1)
+        return windows, caps, min(t_window), min(t_caps)
+
+    fast = replay(DeviceGrid.find_window, DeviceGrid.caps_in_rect)
+    ref = replay(reference_find_window, reference_caps_in_rect)
+    assert fast[:2] == ref[:2]
+    speedup = (ref[2] + ref[3]) / (fast[2] + fast[3])
+    print(
+        f"grid queries: {len(calls['find_window'])} find_window "
+        f"({ref[2] / fast[2]:.1f}x), {len(calls['caps_in_rect'])} caps_in_rect "
+        f"({ref[3] / fast[3]:.1f}x), combined {speedup:.1f}x"
+    )
+    assert speedup >= 5.0, f"grid queries only {speedup:.1f}x faster than reference"
+
+
 def _stitch_case() -> tuple[BlockDesign, dict[str, Footprint]]:
     """A 40-macro chain, the stitcher benchmarks' shared workload."""
     from repro.device.column import ColumnKind

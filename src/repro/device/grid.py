@@ -7,6 +7,15 @@ Coordinates
 height_clbs)``.  Heights of carry chains are measured in *slices*, which in
 a CLB column correspond one-to-one to CLB rows (each CLB row contributes one
 slice to each of the column's two slice columns).
+
+Column tables
+-------------
+Columns are uniform vertically, so every window query reduces to counting
+columns of a few *classes* (``clb``, its CLB-LM subset ``m``, ``bram``,
+``dsp`` and ``clock``).  The grid builds two tables once, like VTR's
+per-type availability tables: per-class prefix counts and the x of every
+column of each class.  ``caps_in_rect`` is then a few subtractions and
+``find_window`` one pass over the columns.
 """
 
 from __future__ import annotations
@@ -15,13 +24,27 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.device.column import Column, ColumnKind
-from repro.device.resources import ResourceCaps, SLICES_PER_CLB
+from repro.device.resources import (
+    BRAM36_PER_REGION_COLUMN,
+    DSP48_PER_REGION_COLUMN,
+    SLICES_PER_CLB,
+    ResourceCaps,
+)
 from repro.utils.validation import check_positive
 
 __all__ = ["DeviceGrid", "CLB_PER_REGION"]
 
 #: 7-series clock regions are 50 CLBs tall.
 CLB_PER_REGION = 50
+
+#: The column classes the tables count, by the kinds each one covers.
+_CLASSES: dict[str, tuple[ColumnKind, ...]] = {
+    "clb": (ColumnKind.CLBLL, ColumnKind.CLBLM),
+    "m": (ColumnKind.CLBLM,),
+    "bram": (ColumnKind.BRAM,),
+    "dsp": (ColumnKind.DSP,),
+    "clock": (ColumnKind.CLOCK,),
+}
 
 
 @dataclass(frozen=True)
@@ -45,6 +68,11 @@ class DeviceGrid:
     _kind_cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
+    #: ``_before[cls][x]``: class-``cls`` columns left of ``x`` (``x`` in
+    #: ``0..n_cols``).
+    _before: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    #: ``_xs[cls]``: x of every class-``cls`` column, left to right.
+    _xs: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_positive(self.n_regions, "n_regions")
@@ -56,6 +84,16 @@ class DeviceGrid:
                     f"column {i} has inconsistent x={col.x}; columns must be "
                     "numbered left to right"
                 )
+        before: dict[str, tuple[int, ...]] = {}
+        xs: dict[str, tuple[int, ...]] = {}
+        for cls, kinds in _CLASSES.items():
+            counts = [0]
+            for col in self.columns:
+                counts.append(counts[-1] + (col.kind in kinds))
+            before[cls] = tuple(counts)
+            xs[cls] = tuple(c.x for c in self.columns if c.kind in kinds)
+        object.__setattr__(self, "_before", before)
+        object.__setattr__(self, "_xs", xs)
 
     # ------------------------------------------------------------------ geometry
 
@@ -97,6 +135,16 @@ class DeviceGrid:
 
     # ------------------------------------------------------------------ capacity
 
+    def n_columns(self, cls: str, x0: int, width: int) -> int:
+        """Columns of one class in the window ``[x0, x0+width)``.
+
+        ``cls`` is ``"clb"`` (either CLB kind), ``"m"`` (CLB-LM),
+        ``"bram"``, ``"dsp"`` or ``"clock"``.
+        """
+        self._check_window(x0, width)
+        before = self._before[cls]
+        return before[x0 + width] - before[x0]
+
     def caps_in_rect(self, x0: int, width: int, y0: int, height: int) -> ResourceCaps:
         """Resource capacities inside a rectangle.
 
@@ -105,28 +153,22 @@ class DeviceGrid:
         """
         self._check_window(x0, width)
         self._check_rows(y0, height)
-        caps = ResourceCaps()
-        for col in self.columns[x0 : x0 + width]:
-            if col.kind.is_clb:
-                n_slices = height * SLICES_PER_CLB
-                n_m = height * col.m_slices_per_clb_row()
-                caps = caps + ResourceCaps.for_slices(n_slices, n_m)
-            elif col.kind is ColumnKind.BRAM:
-                caps = caps + ResourceCaps(bram36=col.bram36_in_rows(height))
-            elif col.kind is ColumnKind.DSP:
-                caps = caps + ResourceCaps(dsp48=col.dsp48_in_rows(height))
-        return caps
+        x1 = x0 + width
+        before = self._before
+        clb = before["clb"][x1] - before["clb"][x0]
+        m = before["m"][x1] - before["m"][x0]
+        bram = before["bram"][x1] - before["bram"][x0]
+        dsp = before["dsp"][x1] - before["dsp"][x0]
+        return ResourceCaps.for_slices(
+            clb * height * SLICES_PER_CLB,
+            m * height,
+            bram36=bram * (height * BRAM36_PER_REGION_COLUMN // CLB_PER_REGION),
+            dsp48=dsp * (height * DSP48_PER_REGION_COLUMN // CLB_PER_REGION),
+        )
 
     def device_caps(self) -> ResourceCaps:
         """Capacities of the full device."""
         return self.caps_in_rect(0, self.n_cols, 0, self.height_clbs)
-
-    def clb_column_xs(self, x0: int = 0, width: int | None = None) -> list[int]:
-        """Absolute x of every CLB column in the window."""
-        if width is None:
-            width = self.n_cols - x0
-        self._check_window(x0, width)
-        return [c.x for c in self.columns[x0 : x0 + width] if c.kind.is_clb]
 
     def crosses_region_boundary(self, y0: int, height: int) -> bool:
         """True if the row window spans more than one clock region.
@@ -171,46 +213,55 @@ class DeviceGrid:
     ) -> tuple[int, int] | None:
         """Find the narrowest window from ``start_x`` satisfying column minima.
 
-        Returns ``(x0, width)`` of the first (leftmost, then narrowest)
-        window containing at least the requested number of CLB, CLB-LM,
-        BRAM and DSP columns, or ``None`` if the device cannot satisfy it.
-        Used by the PBlock generator to snap a resource demand to the
-        column grid.
+        Returns ``(x0, width)`` of the narrowest window with ``x0 >=
+        start_x`` that contains at least the requested number of CLB,
+        CLB-LM, BRAM and DSP columns and no clock column; among windows of
+        equal width the leftmost wins.  It is not the leftmost feasible
+        window: on the xc7z020, one CLB, BRAM and DSP column give
+        ``(4, 4)``, not ``(0, 8)``.  Returns ``None`` if the device cannot
+        satisfy the minima (or ``start_x >= n_cols``).  Used by the PBlock
+        generator to snap a resource demand to the column grid.
+
+        Raises
+        ------
+        ValueError
+            If ``start_x`` is negative.
         """
+        if start_x < 0:
+            raise ValueError(f"start_x must be >= 0, got {start_x}")
+        demands = [
+            (self._before[cls], self._xs[cls], need)
+            for cls, need in (
+                ("clb", min_clb_cols),
+                ("m", min_m_cols),
+                ("bram", min_bram_cols),
+                ("dsp", min_dsp_cols),
+            )
+            if need > 0
+        ]
+        clocks = self._before["clock"]
         best: tuple[int, int] | None = None
-        n = self.n_cols
-        for x0 in range(start_x, n):
-            clb = m = bram = dsp = 0
-            for x1 in range(x0, n):
-                kind = self.columns[x1].kind
-                if kind is ColumnKind.CLOCK:
-                    # PBlocks cannot contain the clock spine; restart after it.
-                    break
-                if kind.is_clb:
-                    clb += 1
-                    if kind is ColumnKind.CLBLM:
-                        m += 1
-                elif kind is ColumnKind.BRAM:
-                    bram += 1
-                elif kind is ColumnKind.DSP:
-                    dsp += 1
-                if (
-                    clb >= min_clb_cols
-                    and m >= min_m_cols
-                    and bram >= min_bram_cols
-                    and dsp >= min_dsp_cols
-                ):
-                    width = x1 - x0 + 1
-                    if best is None or width < best[1]:
-                        best = (x0, width)
-                    break
+        for x0 in range(start_x, self.n_cols):
+            # The window must reach the need-th column of every demanded
+            # class at or after x0 ...
+            x1 = x0
+            for before, xs, need in demands:
+                i = before[x0] + need - 1
+                if i >= len(xs):
+                    # ... and fewer remain right of x0 and every later x0.
+                    return best
+                if xs[i] > x1:
+                    x1 = xs[i]
+            # PBlocks cannot contain the clock spine.
+            if clocks[x1 + 1] == clocks[x0] and (best is None or x1 - x0 + 1 < best[1]):
+                best = (x0, x1 - x0 + 1)
         return best
 
     # ------------------------------------------------------------------ misc
 
     def clock_column_xs(self) -> list[int]:
         """x positions of clock spine columns."""
-        return [c.x for c in self.columns if c.kind is ColumnKind.CLOCK]
+        return list(self._xs["clock"])
 
     def summary(self) -> str:
         """One-line human-readable description."""

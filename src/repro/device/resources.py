@@ -101,8 +101,11 @@ class ResourceCaps:
         )
 
     @staticmethod
-    def for_slices(n_slices: int, n_m_slices: int = 0) -> "ResourceCaps":
-        """Capacities of ``n_slices`` slices, ``n_m_slices`` of them M-type."""
+    def for_slices(
+        n_slices: int, n_m_slices: int = 0, *, bram36: int = 0, dsp48: int = 0
+    ) -> "ResourceCaps":
+        """Capacities of ``n_slices`` slices, ``n_m_slices`` of them M-type,
+        plus ``bram36`` block RAMs and ``dsp48`` DSP slices."""
         return ResourceCaps(
             slices=n_slices,
             m_slices=n_m_slices,
@@ -110,4 +113,6 @@ class ResourceCaps:
             ffs=n_slices * FFS_PER_SLICE,
             carry4=n_slices,
             lutram_sites=n_m_slices * LUTRAM_PER_MSLICE,
+            bram36=bram36,
+            dsp48=dsp48,
         )

@@ -1,10 +1,10 @@
-"""Cell primitives of the technology-mapped netlist."""
+"""Cell kinds of the technology-mapped netlist."""
 
 from __future__ import annotations
 
 import enum
 
-__all__ = ["CellKind", "Cell"]
+__all__ = ["CellKind"]
 
 
 class CellKind(enum.Enum):
@@ -22,44 +22,3 @@ class CellKind(enum.Enum):
     def needs_m_slice(self) -> bool:
         """True for cells that only map to M-type slices (paper §V-A)."""
         return self in (CellKind.SRL, CellKind.LUTRAM)
-
-
-class Cell:
-    """One netlist cell.
-
-    Attributes
-    ----------
-    name:
-        Hierarchical instance name (unique within the netlist).
-    kind:
-        The primitive kind.
-    inputs:
-        Number of used input pins (LUT functional width, FF data+control,
-        etc.); drives pin-density and packing-efficiency models.
-    control_set:
-        Index into the netlist's control-set table for FFs/SRLs/LUTRAMs,
-        ``-1`` for cells without one.
-    chain:
-        Carry-chain id for ``CARRY4`` cells, ``-1`` otherwise.
-    """
-
-    __slots__ = ("name", "kind", "inputs", "control_set", "chain")
-
-    def __init__(
-        self,
-        name: str,
-        kind: CellKind,
-        inputs: int = 1,
-        control_set: int = -1,
-        chain: int = -1,
-    ) -> None:
-        if inputs < 0:
-            raise ValueError(f"cell {name}: inputs must be >= 0, got {inputs}")
-        self.name = name
-        self.kind = kind
-        self.inputs = inputs
-        self.control_set = control_set
-        self.chain = chain
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Cell({self.name!r}, {self.kind.value}, inputs={self.inputs})"

@@ -103,50 +103,36 @@ def compute_stats(netlist: Netlist) -> NetlistStats:
     if cached is not None:
         return cached
 
-    counts = {kind: 0 for kind in CellKind}
-    ff_by_cs: dict[int, int] = {}
-    lut_inputs_sum = 0
-    cs_used: set[int] = set()
-    for cell in netlist.cells:
-        counts[cell.kind] += 1
-        if cell.kind is CellKind.LUT:
-            lut_inputs_sum += cell.inputs
-        if cell.kind is CellKind.FF:
-            ff_by_cs[cell.control_set] = ff_by_cs.get(cell.control_set, 0) + 1
-        if cell.control_set >= 0:
-            cs_used.add(cell.control_set)
-
     # Control nets (clock/reset/enable) ride dedicated routing, so only
     # signal nets count toward the fanout features (paper §V-D).
-    fanouts = [n.fanout for n in netlist.nets if not n.is_control]
-    max_fanout = max(fanouts, default=0)
-    mean_fanout = (sum(fanouts) / len(fanouts)) if fanouts else 0.0
-    total_pins = sum(fanouts) + len(fanouts)  # loads + drivers (signal nets)
-
-    chain_slices = tuple(
-        math.ceil(bits / _CARRY_BITS) for bits in netlist.carry_chains
-    )
-    n_lut = counts[CellKind.LUT]
+    fanouts = netlist.signal_fanouts
+    n_signal = sum(fanouts.values())
+    loads = sum(fanout * n for fanout, n in fanouts.items())
+    n_lut = netlist.count(CellKind.LUT)
 
     stats = NetlistStats(
         name=netlist.name,
         n_lut=n_lut,
-        n_ff=counts[CellKind.FF],
-        n_srl=counts[CellKind.SRL],
-        n_lutram=counts[CellKind.LUTRAM],
-        n_bram=counts[CellKind.BRAM36],
-        n_dsp=counts[CellKind.DSP48],
-        n_carry4=counts[CellKind.CARRY4],
-        carry_chain_slices=chain_slices,
-        n_control_sets=len(cs_used),
-        ff_per_control_set=tuple(sorted(ff_by_cs.values(), reverse=True)),
-        max_fanout=max_fanout,
-        mean_fanout=mean_fanout,
-        total_pins=total_pins,
-        avg_lut_inputs=(lut_inputs_sum / n_lut) if n_lut else 0.0,
+        n_ff=netlist.count(CellKind.FF),
+        n_srl=netlist.count(CellKind.SRL),
+        n_lutram=netlist.count(CellKind.LUTRAM),
+        n_bram=netlist.count(CellKind.BRAM36),
+        n_dsp=netlist.count(CellKind.DSP48),
+        n_carry4=netlist.count(CellKind.CARRY4),
+        carry_chain_slices=tuple(
+            math.ceil(bits / _CARRY_BITS) for bits in netlist.carry_chains
+        ),
+        n_control_sets=len(netlist.used_control_sets),
+        ff_per_control_set=tuple(
+            sorted(netlist.ff_per_control_set.values(), reverse=True)
+        ),
+        max_fanout=max(fanouts, default=0),
+        mean_fanout=(loads / n_signal) if n_signal else 0.0,
+        total_pins=loads + n_signal,  # loads + drivers (signal nets)
+        avg_lut_inputs=(netlist.lut_input_sum / n_lut) if n_lut else 0.0,
         logic_depth=netlist.logic_depth,
         n_cells=netlist.n_cells,
-        n_nets=len(netlist.nets),
+        n_nets=netlist.n_nets,
     )
     netlist._stats = stats
     return stats

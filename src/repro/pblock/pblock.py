@@ -34,14 +34,14 @@ class PBlock:
     height: int
 
     def __post_init__(self) -> None:
-        # Delegate bounds checks to the grid.
-        self.grid.kinds(self.x0, self.width)
+        # The grid checks the column window while counting clock columns.
+        n_clock = self.grid.n_columns("clock", self.x0, self.width)
         if self.y0 < 0 or self.height <= 0 or self.y0 + self.height > self.grid.height_clbs:
             raise ValueError(
                 f"rows [{self.y0}, {self.y0 + self.height}) outside device "
                 f"of {self.grid.height_clbs} CLB rows"
             )
-        if ColumnKind.CLOCK in self.kinds:
+        if n_clock:
             raise ValueError("a PBlock cannot contain the clock spine column")
 
     @cached_property
@@ -57,7 +57,7 @@ class PBlock:
     @property
     def n_clb_cols(self) -> int:
         """Number of CLB columns inside."""
-        return sum(1 for k in self.kinds if k.is_clb)
+        return self.grid.n_columns("clb", self.x0, self.width)
 
     @property
     def n_slice_cols(self) -> int:

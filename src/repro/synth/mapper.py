@@ -16,8 +16,12 @@ sets, chains, fanout), because that is all downstream placement consumes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import Counter
 from functools import singledispatch
+
+import numpy as np
 
 from repro.netlist.netlist import Netlist, NetlistBuilder
 from repro.rtlgen.base import RTLModule
@@ -57,17 +61,12 @@ def opt_design(netlist: Netlist) -> Netlist:
     """Model Vivado's ``opt_design``: strip dangling nets.
 
     Cells are already emitted minimally by the mapper, so the main effect
-    kept here is removing zero-fanout nets, which would otherwise skew the
-    pin-density statistics.
+    kept here is removing zero-fanout signal nets, which would otherwise
+    skew the pin-density statistics.
     """
-    live_nets = [n for n in netlist.nets if n.fanout > 0 or n.is_control]
-    return Netlist(
-        name=netlist.name,
-        cells=netlist.cells,
-        nets=live_nets,
-        control_sets=netlist.control_sets,
-        carry_chains=netlist.carry_chains,
-        logic_depth=netlist.logic_depth,
+    return dataclasses.replace(
+        netlist,
+        signal_fanouts={f: n for f, n in netlist.signal_fanouts.items() if f > 0},
     )
 
 
@@ -181,12 +180,11 @@ def _(c: RandomLogicCloud, builder: NetlistBuilder) -> None:
     lo = int(math.floor(c.avg_inputs))
     hi = min(6, lo + 1)
     p_hi = c.avg_inputs - lo if hi > lo else 0.0
-    inputs = rng.random(c.n_luts) < p_hi
+    widths = np.where(rng.random(c.n_luts) < p_hi, hi, max(1, lo))
     fanouts = rng.geometric(0.55, size=c.n_luts)
-    for i in range(c.n_luts):
-        builder.add_lut(
-            inputs=hi if inputs[i] else max(1, lo), fanout=int(fanouts[i])
-        )
+    pairs = Counter(zip(widths.tolist(), fanouts.tolist()))
+    for (inputs, fanout), n in pairs.items():
+        builder.add_luts(n, inputs=inputs, fanout=fanout)
     n_ff = int(round(c.n_luts * c.registered_fraction))
     if n_ff > 0:
         n_cs = max(1, min(8, n_ff // 32))

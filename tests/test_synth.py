@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.netlist.netlist import NetlistBuilder
 from repro.netlist.stats import compute_stats
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import (
@@ -142,10 +143,15 @@ class TestOtherLowering:
 
 class TestOptDesign:
     def test_strips_dangling_nets(self):
-        nl = synthesize(RTLModule.make("t", [RandomLogicCloud(n_luts=5)]))
-        nl.nets[0].fanout = 0
+        b = NetlistBuilder("t")
+        b.add_luts(4, fanout=2)
+        b.add_lut(fanout=0)  # dangling LUT output
+        b.add_broadcast_net(fanout=0)  # dangling signal net
+        b.add_broadcast_net(fanout=0, is_control=True)  # kept: control net
+        nl = b.build()
         out = opt_design(nl)
-        assert len(out.nets) == len(nl.nets) - 1
+        assert compute_stats(out).n_nets == compute_stats(nl).n_nets - 2
+        assert out.n_cells == nl.n_cells
 
     def test_keeps_cells(self):
         nl = synthesize(RTLModule.make("t", [RandomLogicCloud(n_luts=5)]))
