@@ -13,6 +13,7 @@ from repro.ml.metrics import (
     r2_score,
 )
 from repro.ml.mlp import MLPRegressor
+from repro.ml.persist import model_to_dict
 from repro.ml.split import kfold_indices, train_test_split
 from repro.ml.tree import DecisionTreeRegressor
 
@@ -131,6 +132,20 @@ class TestDecisionTree:
         preds = model.predict(X)
         for val in np.unique(preds):
             assert np.sum(preds == val) >= 10
+
+    @pytest.mark.parametrize(
+        "x", [(1 + 2**-52, 1 + 2**-51), (1e308, 1.7e308)], ids=["ulp", "huge"]
+    )
+    def test_threshold_between_adjacent_values(self, x):
+        # The midpoint of two adjacent floats rounds onto the upper one,
+        # and the midpoint of two huge floats overflows; either used to
+        # send every sample left and grow an empty right chain.
+        X = np.array(x).reshape(-1, 1)
+        model = DecisionTreeRegressor().fit(X, [0.0, 1.0])
+        nodes = model_to_dict(model)["payload"]["nodes"]
+        assert len(nodes) == 3
+        assert not any(np.isnan(node["value"]) for node in nodes)
+        assert model.predict(X).tolist() == [0.0, 1.0]
 
     def test_importances_sum_to_one(self):
         X, y = _stepwise_data()
