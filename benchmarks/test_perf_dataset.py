@@ -1,5 +1,5 @@
 """Dataset pipeline perf smoke: cache cold vs warm, parallel fan-out,
-fast vs reference tree growth.
+library vs reference tree growth.
 
 Three gates keep the PR's perf work honest:
 
@@ -9,8 +9,8 @@ Three gates keep the PR's perf work honest:
   sweep — and actually faster when the machine has the cores to show it
   (the speedup assertion is skipped on boxes with fewer than 4 CPUs,
   where a process pool can only add overhead);
-* the vectorized ``engine="fast"`` forest fit must beat the
-  ``engine="reference"`` oracle while growing bitwise identical trees on
+* the library's forest fit must beat the per-feature oracle kept in
+  ``tests/tree_reference.py`` while growing bitwise identical trees on
   the Table 2 config (depth 20, a third of the features per split).
 
 The generation reports and measured timings are dumped as JSON so CI can
@@ -116,35 +116,30 @@ def test_perf_dataset_parallel_generation():
 
 
 def test_perf_forest_fast_vs_reference(dataset_records):
-    """The vectorized split engine must beat the per-feature oracle.
+    """The library's forest fit must beat the per-feature oracle.
 
-    Both engines grow bitwise identical forests on the Table 2 config
-    (depth 20, ``max_features="third"``); this gate fails if a
-    regression makes the fast engine slower than the reference one.
+    Both grow bitwise identical forests on the Table 2 config (depth 20,
+    ``max_features="third"``); this gate fails if a regression makes the
+    library slower than the per-tree, per-feature reference grower.
     """
+    from tests.tree_reference import reference_forest
+
     X, y = extract_matrix(dataset_records, "additional")
     n_trees = max(10, min(40, len(dataset_records) // 20))
+    params = dict(n_estimators=n_trees, max_depth=20, min_samples_leaf=1, seed=0)
 
-    def fit(engine: str) -> tuple[RandomForestRegressor, float]:
-        t0 = time.perf_counter()
-        model = RandomForestRegressor(
-            n_estimators=n_trees,
-            max_depth=20,
-            min_samples_leaf=1,
-            seed=0,
-            engine=engine,
-        ).fit(X, y)
-        return model, time.perf_counter() - t0
+    t0 = time.perf_counter()
+    fast = RandomForestRegressor(**params).fit(X, y)
+    t_fast = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    ref_trees, ref_importances = reference_forest(X, y, **params, engine="reference")
+    t_ref = time.perf_counter() - t0
 
-    fast, t_fast = fit("fast")
-    ref, t_ref = fit("reference")
-
-    pred_fast = fast.predict(X)
-    pred_ref = ref.predict(X)
-    np.testing.assert_array_equal(pred_fast, pred_ref)
-    np.testing.assert_array_equal(
-        fast.feature_importances_, ref.feature_importances_
-    )
+    pred_ref = np.zeros(X.shape[0])
+    for tree in ref_trees:
+        pred_ref += tree.predict(X)
+    np.testing.assert_array_equal(fast.predict(X), pred_ref / n_trees)
+    np.testing.assert_array_equal(fast.feature_importances_, ref_importances)
 
     speedup = t_ref / t_fast
     _payload["forest_fit"] = {

@@ -7,11 +7,10 @@ scikit-learn is deliberately not used: the models are small and fully
 specified in the paper, and owning the implementation lets the tree/forest
 expose the impurity-based feature importances Figs. 9/12 analyze.
 
-Tree growth ships two split-search engines (``engine="fast"``, the
-vectorized default, and ``engine="reference"``, the per-feature oracle)
-that produce bitwise identical trees; the forest additionally fits its
-trees over a process pool (``n_workers=N``) with seed-stable results and
-batches prediction across trees (:mod:`repro.ml.ensemble`).
+One engine (:func:`repro.ml.tree.grow_trees`) grows every tree of a
+forest together, straight into flat node arrays; single trees and the
+booster's stages are forests of one.  Prediction batches across trees
+(:mod:`repro.ml.ensemble`).
 """
 
 from repro.ml.boosting import GradientBoostingRegressor
@@ -27,7 +26,7 @@ from repro.ml.metrics import (
 )
 from repro.ml.mlp import MLPRegressor
 from repro.ml.split import kfold_indices, train_test_split
-from repro.ml.tree import SPLIT_ENGINES, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor
 
 __all__ = [
     "DecisionTreeRegressor",
@@ -35,7 +34,6 @@ __all__ = [
     "LinearRegression",
     "MLPRegressor",
     "RandomForestRegressor",
-    "SPLIT_ENGINES",
     "StackedTrees",
     "stack_trees",
     "kfold_indices",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.ensemble import StackedTrees, stack_trees
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, _check_xy
 from repro.utils.rng import derive_seed
 
 __all__ = ["GradientBoostingRegressor"]
@@ -34,9 +34,6 @@ class GradientBoostingRegressor:
         values < 1 give stochastic gradient boosting.
     seed:
         Subsampling seed.
-    engine:
-        Split-search engine of the base learners (``"fast"`` or
-        ``"reference"``); both fit bitwise identical boosters.
     """
 
     def __init__(
@@ -46,7 +43,6 @@ class GradientBoostingRegressor:
         max_depth: int = 3,
         subsample: float = 1.0,
         seed: int = 0,
-        engine: str = "fast",
     ) -> None:
         if n_estimators < 1:
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
@@ -59,7 +55,6 @@ class GradientBoostingRegressor:
         self.max_depth = max_depth
         self.subsample = subsample
         self.seed = seed
-        self.engine = engine
         self.base_: float = 0.0
         self.trees_: list[DecisionTreeRegressor] = []
         self.train_losses_: list[float] = []
@@ -67,13 +62,8 @@ class GradientBoostingRegressor:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingRegressor":
         """Fit by stage-wise residual regression."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise ValueError(f"bad shapes: X{X.shape}, y{y.shape}")
+        X, y = _check_xy(X, y)
         n = X.shape[0]
-        if n == 0:
-            raise ValueError("empty training set")
 
         self.base_ = float(y.mean())
         pred = np.full(n, self.base_)
@@ -93,7 +83,6 @@ class GradientBoostingRegressor:
                 max_depth=self.max_depth,
                 min_samples_leaf=2,
                 seed=derive_seed(self.seed, "gbrt-tree", t),
-                engine=self.engine,
             )
             tree.fit(X[idx], residual[idx])
             pred += self.learning_rate * tree.predict(X)

@@ -69,23 +69,17 @@ def stack_trees(trees: Sequence[DecisionTreeRegressor]) -> StackedTrees:
     """Build the arena from fitted trees (ensemble order preserved)."""
     if not trees:
         raise ValueError("cannot stack an empty ensemble")
-    feats, thrs, lefts, rights, values, roots = [], [], [], [], [], []
-    at = 0
-    for tree in trees:
-        f, t, l, r, v = tree._flat_arrays()
-        feats.append(f)
-        thrs.append(t)
-        # Leaves stay -1; internal children shift by the arena offset.
-        lefts.append(np.where(l >= 0, l + at, -1).astype(np.int64))
-        rights.append(np.where(r >= 0, r + at, -1).astype(np.int64))
-        values.append(v)
-        roots.append(at)
-        at += len(f)
+    columns = zip(*(tree._flat_arrays() for tree in trees))
+    feats, thrs, lefts, rights, values = (np.concatenate(c) for c in columns)
+    sizes = [len(tree._flat_arrays()[0]) for tree in trees]
+    roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+    # Leaves stay -1; internal children shift by their tree's offset.
+    shift = np.repeat(roots, sizes)
     return StackedTrees(
-        feats=np.concatenate(feats),
-        thrs=np.concatenate(thrs),
-        lefts=np.concatenate(lefts),
-        rights=np.concatenate(rights),
-        values=np.concatenate(values),
-        roots=np.asarray(roots, dtype=np.int64),
+        feats=feats,
+        thrs=thrs,
+        lefts=np.where(lefts >= 0, lefts + shift, -1),
+        rights=np.where(rights >= 0, rights + shift, -1),
+        values=values,
+        roots=roots,
     )

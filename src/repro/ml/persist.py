@@ -17,7 +17,7 @@ from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import LinearRegression
 from repro.ml.mlp import MLPRegressor
-from repro.ml.tree import DecisionTreeRegressor, _Node
+from repro.ml.tree import DecisionTreeRegressor
 
 __all__ = ["model_to_dict", "model_from_dict"]
 
@@ -31,53 +31,14 @@ def _arr(a: np.ndarray | None) -> list | None:
 # ----------------------------------------------------------------- trees
 
 
-def _tree_nodes_to_list(root: _Node) -> list[dict[str, Any]]:
-    """Flatten a tree into a list of dicts with child indices."""
-    nodes: list[dict[str, Any]] = []
-
-    def visit(node: _Node) -> int:
-        idx = len(nodes)
-        nodes.append(
-            {
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "value": node.value,
-                "left": -1,
-                "right": -1,
-            }
-        )
-        if not node.is_leaf:
-            nodes[idx]["left"] = visit(node.left)
-            nodes[idx]["right"] = visit(node.right)
-        return idx
-
-    visit(root)
-    return nodes
-
-
-def _tree_nodes_from_list(items: list[dict[str, Any]]) -> _Node:
-    built = [None] * len(items)
-
-    def build(idx: int) -> _Node:
-        if built[idx] is not None:
-            return built[idx]
-        spec = items[idx]
-        node = _Node()
-        node.feature = int(spec["feature"])
-        node.threshold = float(spec["threshold"])
-        node.value = float(spec["value"])
-        if spec["left"] >= 0:
-            node.left = build(spec["left"])
-            node.right = build(spec["right"])
-        built[idx] = node
-        return node
-
-    return build(0)
+_NODE_KEYS = ("feature", "threshold", "value", "left", "right")
 
 
 def _dt_to_dict(model: DecisionTreeRegressor) -> dict[str, Any]:
-    if model._root is None:
+    if model._flat is None:
         raise ValueError("cannot serialize an unfitted tree")
+    feats, thrs, lefts, rights, values = model._flat
+    columns = (feats, thrs, values, lefts, rights)
     return {
         "params": {
             "max_depth": model.max_depth,
@@ -87,15 +48,22 @@ def _dt_to_dict(model: DecisionTreeRegressor) -> dict[str, Any]:
             "seed": model.seed,
         },
         "n_features": model._n_features,
-        "nodes": _tree_nodes_to_list(model._root),
+        "nodes": [
+            dict(zip(_NODE_KEYS, node))
+            for node in zip(*(column.tolist() for column in columns))
+        ],
         "importances": _arr(model.feature_importances_),
     }
 
 
 def _dt_from_dict(data: dict[str, Any]) -> DecisionTreeRegressor:
     model = DecisionTreeRegressor(**data["params"])
-    model._flat = None
-    model._root = _tree_nodes_from_list(data["nodes"])
+    nodes = data["nodes"]
+    feats, thrs, values, lefts, rights = (
+        np.asarray([node[key] for node in nodes], dtype=dtype)
+        for key, dtype in zip(_NODE_KEYS, (np.int32, float, float, np.int32, np.int32))
+    )
+    model._flat = (feats, thrs, lefts, rights, values)
     model._n_features = int(data["n_features"])
     model.feature_importances_ = (
         None if data["importances"] is None else np.asarray(data["importances"])
