@@ -12,6 +12,7 @@ import pytest
 from repro.device.parts import xc7z020
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.stitcher import SAParams, stitch
+from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.netlist.stats import compute_stats
 from repro.pblock.cf_search import minimal_cf
@@ -75,6 +76,52 @@ def test_perf_tree_fit(benchmark):
 
     model = benchmark(fit)
     assert model.depth() > 2
+
+
+def test_perf_forest_fit():
+    """Lockstep forest growth must beat the per-tree grower 1.5x.
+
+    This is the CI perf-smoke gate for the tree engine: a 60-tree forest
+    on a fixed 400 x 9 quantized dataset (ties in x and in the gains) is
+    grown by the library and by the per-tree fast path kept in
+    ``tests/tree_reference.py``.  Both must give identical node arrays
+    and importances, and the library must take at most two thirds of the
+    oracle's time, measured on the same machine (best of three).
+    """
+    import time
+
+    from tests.tree_reference import reference_forest
+
+    rng = np.random.default_rng(0)
+    X = np.round(rng.normal(size=(400, 9)) * 4) / 4
+    y = np.round(X @ rng.normal(size=9) + rng.normal(size=400), 1)
+    params = dict(n_estimators=60, max_depth=20, min_samples_leaf=1, seed=0)
+
+    def best_of_three(fit):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            out = fit()
+            times.append(time.perf_counter() - t0)
+        return out, min(times)
+
+    forest, t_new = best_of_three(lambda: RandomForestRegressor(**params).fit(X, y))
+    (ref_trees, ref_importances), t_ref = best_of_three(
+        lambda: reference_forest(X, y, **params)
+    )
+    for tree, ref in zip(forest.trees_, ref_trees, strict=True):
+        for a, b in zip(tree._flat_arrays(), ref._flat_arrays(), strict=True):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(
+            tree.feature_importances_, ref.feature_importances_
+        )
+    np.testing.assert_array_equal(forest.feature_importances_, ref_importances)
+    speedup = t_ref / t_new
+    print(
+        f"forest fit: lockstep {t_new * 1e3:.0f} ms, per-tree "
+        f"{t_ref * 1e3:.0f} ms ({speedup:.2f}x)"
+    )
+    assert speedup >= 1.5, f"lockstep forest fit only {speedup:.2f}x faster"
 
 
 def test_perf_grid_queries(monkeypatch):
