@@ -205,7 +205,7 @@ def test_perf_stitch_fast_vs_reference(grid):
     """The fast kernel must beat the reference kernel on the same run.
 
     This is the CI perf-smoke gate: it fails if a regression makes the
-    vectorized kernel slower than the straightforward one, and doubles
+    fast kernel slower than the straightforward one, and doubles
     as an equivalence check on the benchmark workload.
     """
     import time
@@ -231,6 +231,57 @@ def test_perf_stitch_fast_vs_reference(grid):
         f"fast kernel ({t_fast * 1e3:.1f} ms) slower than reference "
         f"({t_ref * 1e3:.1f} ms)"
     )
+
+
+def test_perf_fused_move_loop_vs_reference():
+    """The fast kernel's fused move loop must beat the reference 10x.
+
+    This is the CI perf-smoke gate for the move loop: it stitches the
+    cnvW1A1 footprints pre-implemented at minimal CF for the xc7z020 on
+    the xc7z045 (the cnv_flow benchmark's slowest stitch) for exactly
+    20k iterations with both
+    kernels.  They must give identical placements and cost, and the fast
+    kernel must take at most a tenth of the reference's time,
+    measured on the same machine (best of five, kernels alternating).
+    """
+    import time
+
+    from repro.cnv import cnv_design
+    from repro.device.parts import xc7z020, xc7z045
+    from repro.flow.policy import MinimalCFPolicy
+    from repro.flow.preimpl import implement_design
+
+    z045 = xc7z045()
+    design = cnv_design()
+    pre = implement_design(design, xc7z020(), MinimalCFPolicy())
+    footprints = {
+        name: impl.outcome.result.footprint
+        for name, impl in pre.items()
+        if impl.outcome.result.footprint is not None
+    }
+    if any(i.module not in footprints for i in design.instances):
+        design = design.subset(set(footprints))
+    params = SAParams(max_iters=20000, patience=20000, seed=0)
+
+    # Alternate the kernels so a drift in machine speed hits both.
+    times: dict[str, list[float]] = {"fast": [], "reference": []}
+    results = {}
+    for _ in range(5):
+        for kernel, elapsed in times.items():
+            t0 = time.perf_counter()
+            results[kernel] = stitch(design, footprints, z045, params, kernel=kernel)
+            elapsed.append(time.perf_counter() - t0)
+    fast, ref = results["fast"], results["reference"]
+    t_fast, t_ref = min(times["fast"]), min(times["reference"])
+    assert fast.iterations == ref.iterations == 20000
+    assert fast.placements == ref.placements
+    assert fast.final_cost == ref.final_cost
+    speedup = t_ref / t_fast
+    print(
+        f"move loop: fast {t_fast * 1e3:.0f} ms, reference "
+        f"{t_ref * 1e3:.0f} ms ({speedup:.1f}x)"
+    )
+    assert speedup >= 10.0, f"fused move loop only {speedup:.1f}x faster"
 
 
 def test_perf_ga_vs_sa_equal_budget(grid):

@@ -9,13 +9,18 @@ collide more, slowing convergence and inflating the final cost (§VIII:
 the estimator's tighter, more rectangular footprints converge 1.37x
 faster with 40% lower cost than constant CF = 1.68).
 
-The geometry/cost primitives live in :mod:`repro.place_kernel`: two
-interchangeable move kernels (``"fast"`` bitmask/vectorized and
-``"reference"``, the executable specification) drive one shared driver
-loop here.  Both kernels draw from the same batched uniform stream, so a
-fixed seed produces identical placements, costs and history on either
-kernel — enforced by ``tests/test_stitcher_equivalence.py`` and pinned
-by the golden costs in ``tests/test_golden_costs.py``.  The same kernel
+The geometry/cost primitives and the move loop live in
+:mod:`repro.place_kernel`; the driver here owns the temperature
+schedule and calls the kernel's ``run_moves`` once per temperature
+step.  Two interchangeable kernels run it: ``"fast"`` (the default)
+runs one fused loop over bitmask occupancy and cached centers, and
+``"reference"`` runs the per-primitive loop over
+``try_place``/``try_swap``/``try_move`` — the executable specification.
+Both draw from the same batched uniform stream in the same order, so a
+fixed seed produces identical placements, costs, history and move
+counters on either kernel — enforced by
+``tests/test_stitcher_equivalence.py`` and pinned by the golden costs in
+``tests/test_golden_costs.py``.  The same kernel
 also powers the GA placer (:mod:`repro.flow.evolve`), which is what
 makes SA-vs-GA costs directly comparable.
 """
@@ -31,7 +36,7 @@ from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import KERNELS, run_move_batch
+from repro.place_kernel.kernel import KERNELS
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
 from repro.place_kernel.route_cost import build_route_model
@@ -62,6 +67,14 @@ class SAParams:
     #: Weight of the block-level critical-path cost term; 0.0 disables.
     timing_weight: float = 0.0
 
+    def __post_init__(self) -> None:
+        # The anneal advances by one temperature step at a time; a step
+        # of no moves would never reach max_iters.
+        if self.steps_per_temp < 1:
+            raise ValueError(
+                f"steps_per_temp must be >= 1, got {self.steps_per_temp}"
+            )
+
 
 def stitch(
     design: BlockDesign,
@@ -88,9 +101,10 @@ def stitch(
     params:
         Annealing parameters.
     kernel:
-        ``"fast"`` (bitmask occupancy, cached centers, vectorized sums)
-        or ``"reference"`` (the straightforward implementation).  Both
-        produce identical results for a fixed seed.
+        ``"fast"`` (bitmask occupancy, cached centers, one fused move
+        loop) or ``"reference"`` (the straightforward implementation,
+        driven by the per-primitive move loop).  Both produce identical
+        results for a fixed seed.
     initial_placements:
         Optional warm start: anchor per instance name (``None`` entries
         and missing names stay unplaced).  Anchors are applied in
@@ -164,8 +178,8 @@ def stitch(
             it = 0
             while it < params.max_iters:
                 steps = min(params.steps_per_temp, params.max_iters - it)
-                cost, best, events = run_move_batch(
-                    st, swappable, placed_list, unplaced_list,
+                cost, best, events = st.run_moves(
+                    swappable, placed_list, unplaced_list,
                     steps, temp, params.p_place, params.p_swap, u, cost, best,
                 )
                 for off, c in events:

@@ -7,8 +7,9 @@ drives the *same* primitives:
 * :mod:`repro.place_kernel.sites` — per-footprint compatible-site
   tables (anchor columns, hard-block pitch, occupancy bitmasks);
 * :mod:`repro.place_kernel.kernel` — the two equivalence-tested move
-  kernels (``"fast"`` bitmask/vectorized, ``"reference"`` the
-  executable specification) with move, packing and HPWL primitives;
+  kernels (``"fast"`` bitmask occupancy with one fused move loop,
+  ``"reference"`` the executable specification) with the move loop and
+  the packing and HPWL primitives;
 * :mod:`repro.place_kernel.uniform` — the batched uniform stream all
   optimizer randomness flows through;
 * :mod:`repro.place_kernel.problem` — the flattened

@@ -1,32 +1,37 @@
-"""Move kernels: the geometry/cost primitives of macro placement.
+"""Move kernels: the geometry/cost primitives and move loop of macro placement.
 
 Two interchangeable kernels implement overlap probing, occupancy
-painting, incremental HPWL and greedy packing under one shared contract:
+painting, incremental HPWL, greedy packing and the SA move loop under
+one shared contract:
 
 * ``kernel="fast"`` (default) — per-column occupancy bitmasks stored as
   Python big-ints (an overlap probe is one shift+AND per column, and the
   greedy packer finds the lowest legal row with a logarithmic bit
   dilation instead of a row scan), per-footprint compatible-site tables
-  shared by every instance of a module, incrementally cached instance
-  centers, and flat numpy edge-endpoint arrays so whole-design cost
-  sums are single vectorized gathers.
+  shared by every instance of a module, centers cached in Python lists,
+  and one fused move loop (:meth:`FastKernel.run_moves`) that inlines
+  the uniform draws, site sampling, bitmask probe and cost delta of
+  every move instead of calling a method per primitive.
 * ``kernel="reference"`` — the original straightforward implementation
-  (numpy occupancy slicing, per-edge Python sums).  Kept forever as the
-  executable specification that the fast kernel is tested against.
+  (numpy occupancy slicing, per-edge Python sums) driven by the
+  per-primitive move loop :meth:`PlacementKernel.run_moves` over
+  ``try_place``/``try_swap``/``try_move``.  Kept as the executable
+  specification that the fast kernel is tested against.
 
 Both kernels draw from the same batched uniform stream (see
-:class:`~repro.place_kernel.uniform.UniformBuffer`), so a fixed seed
-produces identical placements, costs and history on either kernel —
-enforced by ``tests/test_stitcher_equivalence.py``.  With the integer
-edge widths ``BlockDesign`` produces, every HPWL term is a dyadic
-rational that float64 evaluates exactly in any summation order, which
-is what makes the equivalence bitwise rather than approximate.
+:class:`~repro.place_kernel.uniform.UniformBuffer`) in the same order,
+so a fixed seed produces identical placements, costs, history and move
+counters on either kernel — enforced by
+``tests/test_stitcher_equivalence.py``.  With the integer edge widths
+``BlockDesign`` produces, every HPWL term is a dyadic rational that
+float64 evaluates exactly in any summation order, which is what makes
+the equivalence bitwise rather than approximate.
 
 The kernels are optimizer-agnostic: the SA stitcher
 (:mod:`repro.flow.stitcher`) and the GA evolver
-(:mod:`repro.flow.evolve`) both drive the same move/cost primitives,
-which is what makes their costs directly comparable and their legality
-guarantees shared (``tests/test_place_kernel.py``).
+(:mod:`repro.flow.evolve`) both drive the same move loop and
+primitives, which is what makes their costs directly comparable and
+their legality guarantees shared (``tests/test_place_kernel.py``).
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ __all__ = [
     "PlacementKernel",
     "ReferenceKernel",
     "make_kernel",
-    "run_move_batch",
 ]
 
 #: Selectable move-kernel implementations.
@@ -61,8 +65,10 @@ class PlacementKernel:
     Subclasses provide the geometry/cost primitives (``fits``, ``paint``,
     ``set_pos``, ``incident_cost``, ``wirelength``, ``lowest_fit_y``,
     ``occupancy_array``); everything that touches the random stream or
-    decides moves lives here, once, so both kernels behave identically
-    regardless of which optimizer drives them.
+    decides moves lives here, once, as the specification both kernels
+    behave like regardless of which optimizer drives them.
+    :class:`FastKernel` overrides only :meth:`run_moves`, with a fused
+    loop that must match it draw for draw.
     """
 
     name = "?"
@@ -461,6 +467,70 @@ class PlacementKernel:
         self.set_pos(j, pj)
         return 0.0
 
+    # ------------------------------------------------------------ move loop
+
+    def run_moves(
+        self,
+        swappable: Sequence[Sequence[int]],
+        placed_list: list[int],
+        unplaced_list: list[int],
+        steps: int,
+        temp: float,
+        p_place: float,
+        p_swap: float,
+        u: UniformBuffer,
+        cost: float,
+        best: float,
+    ) -> tuple[float, float, list[tuple[int, float]]]:
+        """Run ``steps`` operations of the shared SA move mix at ``temp``.
+
+        This is *the* move loop every optimizer in the flow executes — the
+        SA stitcher's anneal and the GA's polish/repair phase (at
+        ``temp=0.0``) both call it, so their draw order and acceptance
+        behavior are identical by construction.  One call consumes
+        exactly ``steps`` units of the shared kernel-operation budget
+        (one unit == one SA iteration == one GA budget unit).
+
+        This per-primitive version, built from :meth:`try_place`,
+        :meth:`try_swap` and :meth:`try_move`, is the executable
+        specification: :class:`ReferenceKernel` runs it, and
+        :class:`FastKernel` overrides it with one fused loop that must
+        match it draw for draw.
+
+        ``placed_list`` / ``unplaced_list`` are mutated in place
+        (membership changes on successful place moves).  Returns
+        ``(cost, best, events)`` where ``events`` lists every new best as
+        a 1-based ``(op_offset, cost)`` pair within the batch.
+        """
+        events: list[tuple[int, float]] = []
+        p_either = p_place + p_swap
+        for op in range(1, steps + 1):
+            r = u.next()
+            if unplaced_list and r < p_place:
+                k = u.index(len(unplaced_list))
+                i = unplaced_list[k]
+                cost += self.try_place(i, u)
+                if self.pos[i] is not None:
+                    unplaced_list[k] = unplaced_list[-1]
+                    unplaced_list.pop()
+                    placed_list.append(i)
+            elif swappable and r < p_either:
+                g = swappable[u.index(len(swappable))]
+                i = u.index(len(g))
+                j = u.index(len(g) - 1)
+                if j >= i:
+                    j += 1
+                cost += self.try_swap(g[i], g[j], temp, u)
+            else:
+                if not placed_list:
+                    continue
+                i = placed_list[u.index(len(placed_list))]
+                cost += self.try_move(i, temp, u)
+            if cost < best - 1e-9:
+                best = cost
+                events.append((op, best))
+        return cost, best, events
+
 
 class ReferenceKernel(PlacementKernel):
     """The original straightforward primitives (executable specification)."""
@@ -540,7 +610,7 @@ class ReferenceKernel(PlacementKernel):
 
 
 class FastKernel(PlacementKernel):
-    """Bitmask/cached-center primitives (the default move kernel)."""
+    """Bitmask/cached-center primitives and a fused move loop (the default)."""
 
     name = "fast"
 
@@ -554,37 +624,40 @@ class FastKernel(PlacementKernel):
         self.masks = [self.tables[t].masks for t in self.table_of]
         self.half_w = [self.tables[t].half_w for t in self.table_of]
         self.half_h = [self.tables[t].half_h for t in self.table_of]
-        # Cached centers, maintained by set_pos: python lists for the
-        # scalar per-move path, numpy arrays for the vectorized gathers.
+        # What the fused move loop reads of an instance, in one tuple:
+        # anchor columns and their count, row count and pitch, column
+        # masks, column span (a relocation whose old and new spans are
+        # disjoint probes legality without painting out) and center
+        # offsets.  None for an instance with no compatible site.
+        self.sites = [
+            (xs, len(xs), ny, ys, m, fp.width, hw, hh)
+            if xs and ymax >= 0
+            else None
+            for xs, ny, ys, ymax, m, fp, hw, hh in zip(
+                self.anchors_x, self.n_y, self.y_step, self.y_max,
+                self.masks, footprints, self.half_w, self.half_h,
+            )
+        ]
+        # Cached centers, maintained by set_pos (stale while unplaced).
         self.cx = [0.0] * self.n
         self.cy = [0.0] * self.n
-        self.cxa = np.zeros(self.n, dtype=np.float64)
-        self.cya = np.zeros(self.n, dtype=np.float64)
-        self.placed_arr = np.zeros(self.n, dtype=bool)
         # Flat edge endpoints for vectorized whole-design cost sums.
         self.ea = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
         self.eb = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
         self.ew = np.fromiter((e[2] for e in edges), dtype=np.float64, count=len(edges))
-        # Neighbor lists (other endpoint, weight) per instance; nodes with
-        # many incident edges also get index arrays for a gathered sum.
-        # With the timing term enabled the neighbor weights are the
-        # *effective* (HPWL + quantized timing) weights, so the per-move
-        # incident sums price both terms in one pass.
-        self.nbrs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        # Neighbor lists (other endpoint, weight) per instance.  With the
+        # timing term enabled the neighbor weights are the *effective*
+        # (HPWL + quantized timing) weights, so the per-move incident
+        # sums price both terms in one pass.  Self-loops are left out:
+        # their length is always 0.0, and a move prices its old and new
+        # center against the neighbors' centers in one pass.
+        self.nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
         for ei, (a, b, w) in enumerate(edges):
+            if a == b:
+                continue
             wc = w if self._effw is None else self._effw[ei]
             self.nbrs[a].append((b, wc))
             self.nbrs[b].append((a, wc))
-        self.nbr_idx: list[np.ndarray | None] = [None] * self.n
-        self.nbr_w: list[np.ndarray | None] = [None] * self.n
-        for i, nb in enumerate(self.nbrs):
-            if len(nb) >= _GATHER_DEGREE:
-                self.nbr_idx[i] = np.fromiter(
-                    (o for o, _ in nb), dtype=np.intp, count=len(nb)
-                )
-                self.nbr_w[i] = np.fromiter(
-                    (w for _, w in nb), dtype=np.float64, count=len(nb)
-                )
         # Timing weights as a flat array for the vectorized timing_cost.
         self._twa = (
             np.array(self._tw, dtype=np.float64)
@@ -623,16 +696,9 @@ class FastKernel(PlacementKernel):
 
     def set_pos(self, i: int, p: tuple[int, int] | None) -> None:
         self.pos[i] = p
-        if p is None:
-            self.placed_arr[i] = False
-        else:
-            cx = p[0] + self.half_w[i]
-            cy = p[1] + self.half_h[i]
-            self.cx[i] = cx
-            self.cy[i] = cy
-            self.cxa[i] = cx
-            self.cya[i] = cy
-            self.placed_arr[i] = True
+        if p is not None:
+            self.cx[i] = p[0] + self.half_w[i]
+            self.cy[i] = p[1] + self.half_h[i]
         if self._cong:
             self._cong_update(i)
 
@@ -705,15 +771,9 @@ class FastKernel(PlacementKernel):
     # ------------------------------------------------------------ cost
 
     def incident_cost(self, i: int) -> float:
-        if self.pos[i] is None:
-            return 0.0
-        idx = self.nbr_idx[i]
-        if idx is not None:
-            both = self.placed_arr[idx]
-            dx = np.abs(self.cxa[i] - self.cxa[idx])
-            dy = np.abs(self.cya[i] - self.cya[idx])
-            return float(np.sum(np.where(both, self.nbr_w[i] * (dx + dy), 0.0)))
         pos = self.pos
+        if pos[i] is None:
+            return 0.0
         cx = self.cx
         cy = self.cy
         xi = cx[i]
@@ -724,29 +784,285 @@ class FastKernel(PlacementKernel):
                 total += w * (abs(xi - cx[o]) + abs(yi - cy[o]))
         return total
 
-    def wirelength(self) -> float:
+    def _edge_lengths(self, weights: np.ndarray) -> float:
+        """``sum_e weights_e * (|dx| + |dy|)`` over placed-placed edges."""
         if self.ea.size == 0:
             return 0.0
-        both = self.placed_arr[self.ea] & self.placed_arr[self.eb]
-        dx = np.abs(self.cxa[self.ea] - self.cxa[self.eb])
-        dy = np.abs(self.cya[self.ea] - self.cya[self.eb])
-        return float(np.sum(np.where(both, self.ew * (dx + dy), 0.0)))
+        placed = np.fromiter(
+            (p is not None for p in self.pos), dtype=bool, count=self.n
+        )
+        cx = np.array(self.cx)
+        cy = np.array(self.cy)
+        ea, eb = self.ea, self.eb
+        both = placed[ea] & placed[eb]
+        dx = np.abs(cx[ea] - cx[eb])
+        dy = np.abs(cy[ea] - cy[eb])
+        return float(np.sum(np.where(both, weights * (dx + dy), 0.0)))
+
+    def wirelength(self) -> float:
+        return self._edge_lengths(self.ew)
 
     def timing_cost(self) -> float:
         # Vectorized peer of the base-class loop; dyadic weights make
         # the different summation order bitwise-irrelevant.
-        if self._twa is None or self.ea.size == 0:
+        if self._twa is None:
             return 0.0
-        both = self.placed_arr[self.ea] & self.placed_arr[self.eb]
-        dx = np.abs(self.cxa[self.ea] - self.cxa[self.eb])
-        dy = np.abs(self.cya[self.ea] - self.cya[self.eb])
-        return float(np.sum(np.where(both, self._twa * (dx + dy), 0.0)))
+        return self._edge_lengths(self._twa)
+
+    # ------------------------------------------------------------ move loop
+
+    def run_moves(
+        self,
+        swappable: Sequence[Sequence[int]],
+        placed_list: list[int],
+        unplaced_list: list[int],
+        steps: int,
+        temp: float,
+        p_place: float,
+        p_swap: float,
+        u: UniformBuffer,
+        cost: float,
+        best: float,
+    ) -> tuple[float, float, list[tuple[int, float]]]:
+        """:meth:`PlacementKernel.run_moves` as one fused loop.
+
+        The same draws in the same order, the same float sums and the
+        same counters as the per-primitive loop, without a method call
+        per primitive: draws are read straight from the stream's
+        upcoming values, a relocation prices its old and new center in
+        one pass over the neighbor list, a relocation whose old and new
+        column spans are disjoint probes legality without painting the
+        block out and back, and a rejected move writes no state.  With
+        the congestion term on, trial positions go through
+        :meth:`set_pos` so the incremental overflow prices them.
+        """
+        pos = self.pos
+        cx = self.cx
+        cy = self.cy
+        cm = self.colmask
+        nbrs = self.nbrs
+        sites = self.sites
+        cong = self._cong
+        cw = self.route.congestion_weight if cong else 0.0
+        tmax = max(temp, 1e-9)
+        exp = math.exp
+        n_move = n_move_acc = n_swap = n_swap_acc = n_place = n_place_acc = 0
+        n_illegal = 0
+        events: list[tuple[int, float]] = []
+        p_either = p_place + p_swap
+        # Each draw is UniformBuffer.next() inlined (index(n) clamps
+        # int(r * n) to n - 1); one op never takes more than
+        # _MAX_DRAWS_PER_OP, so one check per op keeps them in reach.
+        buf, bi = u.window(_MAX_DRAWS_PER_OP)
+        nb = len(buf)
+        for op in range(1, steps + 1):
+            if bi + _MAX_DRAWS_PER_OP > nb:
+                u.seek(bi)
+                buf, bi = u.window(_MAX_DRAWS_PER_OP)
+                nb = len(buf)
+            r = buf[bi]
+            if unplaced_list and r < p_place:
+                # ---------------------------------------- place (try_place)
+                nl = len(unplaced_list)
+                k = int(buf[bi + 1] * nl)
+                bi += 2
+                if k >= nl:
+                    k = nl - 1
+                i = unplaced_list[k]
+                n_place += 1
+                site = sites[i]
+                if site is not None:
+                    xs, nx, ny, ys, mi, _wd, _hw, _hh = site
+                    cong_before = cw * self._ovf if cong else 0.0
+                    for _ in range(8):
+                        kx = int(buf[bi] * nx)
+                        ky = int(buf[bi + 1] * ny)
+                        bi += 2
+                        x = xs[nx - 1 if kx >= nx else kx]
+                        y = (ny - 1 if ky >= ny else ky) * ys
+                        for c, m, _h in mi:
+                            if cm[x + c] & (m << y):
+                                n_illegal += 1
+                                break
+                        else:
+                            self.set_pos(i, (x, y))
+                            self.paint(i, x, y, +1)
+                            n_place_acc += 1
+                            gain = (
+                                self.incident_cost(i)
+                                - self.unplaced_weight * self.areas[i]
+                            )
+                            if cong:
+                                gain += cw * self._ovf - cong_before
+                            cost += gain
+                            unplaced_list[k] = unplaced_list[-1]
+                            unplaced_list.pop()
+                            placed_list.append(i)
+                            break
+            elif swappable and r < p_either:
+                # ------------------------------------------ swap (try_swap)
+                ns = len(swappable)
+                k = int(buf[bi + 1] * ns)
+                g = swappable[ns - 1 if k >= ns else k]
+                ng = len(g)
+                a = int(buf[bi + 2] * ng)
+                b = int(buf[bi + 3] * (ng - 1))
+                bi += 4
+                if a >= ng:
+                    a = ng - 1
+                if b >= ng - 1:
+                    b = ng - 2
+                if b >= a:
+                    b += 1
+                i = g[a]
+                j = g[b]
+                n_swap += 1
+                pi = pos[i]
+                pj = pos[j]
+                if pi is not None and pj is not None and pi != pj:
+                    # Same footprint, so the two exchange centers; the
+                    # i-j distance itself is unchanged by the swap.
+                    xi = cx[i]
+                    yi = cy[i]
+                    xj = cx[j]
+                    yj = cy[j]
+                    before_i = after_i = 0.0
+                    for o, w in nbrs[i]:
+                        if o == j:
+                            t = w * (abs(xi - xj) + abs(yi - yj))
+                            before_i += t
+                            after_i += t
+                        elif pos[o] is not None:
+                            xo = cx[o]
+                            yo = cy[o]
+                            before_i += w * (abs(xi - xo) + abs(yi - yo))
+                            after_i += w * (abs(xj - xo) + abs(yj - yo))
+                    before_j = after_j = 0.0
+                    for o, w in nbrs[j]:
+                        if o == i:
+                            t = w * (abs(xj - xi) + abs(yj - yi))
+                            before_j += t
+                            after_j += t
+                        elif pos[o] is not None:
+                            xo = cx[o]
+                            yo = cy[o]
+                            before_j += w * (abs(xj - xo) + abs(yj - yo))
+                            after_j += w * (abs(xi - xo) + abs(yi - yo))
+                    before = before_i + before_j
+                    after = after_i + after_j
+                    if cong:
+                        before += cw * self._ovf
+                        self.set_pos(i, pj)
+                        self.set_pos(j, pi)
+                        after += cw * self._ovf
+                    delta = after - before
+                    if delta <= 0:
+                        accept = True
+                    else:
+                        accept = buf[bi] < exp(-delta / tmax)
+                        bi += 1
+                    if accept:
+                        # Identical footprints: occupancy is unchanged.
+                        n_swap_acc += 1
+                        cost += delta
+                        if not cong:
+                            pos[i] = pj
+                            pos[j] = pi
+                            cx[i] = xj
+                            cy[i] = yj
+                            cx[j] = xi
+                            cy[j] = yi
+                    elif cong:
+                        self.set_pos(i, pi)
+                        self.set_pos(j, pj)
+            else:
+                # ------------------------------------------ move (try_move)
+                if not placed_list:
+                    bi += 1
+                    continue
+                nl = len(placed_list)
+                k = int(buf[bi + 1] * nl)
+                i = placed_list[nl - 1 if k >= nl else k]
+                n_move += 1
+                site = sites[i]
+                if site is None:
+                    bi += 2
+                else:
+                    xs, nx, ny, ys, mi, wd, hw, hh = site
+                    kx = int(buf[bi + 2] * nx)
+                    ky = int(buf[bi + 3] * ny)
+                    bi += 4
+                    x = xs[nx - 1 if kx >= nx else kx]
+                    y = (ny - 1 if ky >= ny else ky) * ys
+                    old = pos[i]
+                    ox, oy = old
+                    # Disjoint column spans: the block's own bits cannot
+                    # collide with the probe, so it stays painted.
+                    apart = x >= ox + wd or ox >= x + wd
+                    if not apart:
+                        for c, m, _h in mi:
+                            cm[ox + c] &= ~(m << oy)
+                    accept = False
+                    for c, m, _h in mi:
+                        if cm[x + c] & (m << y):
+                            n_illegal += 1
+                            break
+                    else:
+                        xc = cx[i]
+                        yc = cy[i]
+                        nxc = x + hw
+                        nyc = y + hh
+                        before = after = 0.0
+                        for o, w in nbrs[i]:
+                            if pos[o] is not None:
+                                xo = cx[o]
+                                yo = cy[o]
+                                before += w * (abs(xc - xo) + abs(yc - yo))
+                                after += w * (abs(nxc - xo) + abs(nyc - yo))
+                        if cong:
+                            before += cw * self._ovf
+                            self.set_pos(i, (x, y))
+                            after += cw * self._ovf
+                        delta = after - before
+                        if delta <= 0:
+                            accept = True
+                        else:
+                            accept = buf[bi] < exp(-delta / tmax)
+                            bi += 1
+                        if accept:
+                            n_move_acc += 1
+                            cost += delta
+                            if not cong:
+                                pos[i] = (x, y)
+                                cx[i] = nxc
+                                cy[i] = nyc
+                            if apart:
+                                for c, m, _h in mi:
+                                    cm[ox + c] &= ~(m << oy)
+                            for c, m, _h in mi:
+                                cm[x + c] |= m << y
+                        elif cong:
+                            self.set_pos(i, old)
+                    if not accept and not apart:
+                        for c, m, _h in mi:
+                            cm[ox + c] |= m << oy
+            if cost < best - 1e-9:
+                best = cost
+                events.append((op, best))
+        u.seek(bi)
+        self.move_attempts += n_move
+        self.move_accepts += n_move_acc
+        self.swap_attempts += n_swap
+        self.swap_accepts += n_swap_acc
+        self.place_attempts += n_place
+        self.place_accepts += n_place_acc
+        self.illegal += n_illegal
+        return cost, best, events
 
 
-#: Incident-edge count above which per-move cost uses the numpy gather
-#: path; below it a scalar loop over cached centers is faster (the CNV
-#: and chain designs have degree <= 4).
-_GATHER_DEGREE = 32
+#: Most uniform draws one move-loop operation takes: a place move reads
+#: the move choice, the instance and 8 (column, row) site samples.
+_MAX_DRAWS_PER_OP = 2 + 8 * 2
 
 _KERNELS: dict[str, type[PlacementKernel]] = {
     "fast": FastKernel,
@@ -774,60 +1090,3 @@ def make_kernel(
     return _KERNELS[kernel](
         grid, names, footprints, edges, unplaced_weight, route
     )
-
-
-def run_move_batch(
-    st: PlacementKernel,
-    swappable: list[list[int]],
-    placed_list: list[int],
-    unplaced_list: list[int],
-    steps: int,
-    temp: float,
-    p_place: float,
-    p_swap: float,
-    u: UniformBuffer,
-    cost: float,
-    best: float,
-) -> tuple[float, float, list[tuple[int, float]]]:
-    """Run ``steps`` operations of the shared SA move mix at ``temp``.
-
-    This is *the* move loop every optimizer in the flow executes — the
-    SA stitcher's anneal and the GA's polish/repair phase (at
-    ``temp=0.0``) both call it, so their draw order and acceptance
-    behavior are identical by construction.  One call
-    consumes exactly ``steps`` units of the shared kernel-operation
-    budget (one unit == one SA iteration == one GA budget unit).
-
-    ``placed_list`` / ``unplaced_list`` are mutated in place (membership
-    changes on successful place moves).  Returns ``(cost, best,
-    events)`` where ``events`` lists every new best as a 1-based
-    ``(op_offset, cost)`` pair within the batch.
-    """
-    events: list[tuple[int, float]] = []
-    p_either = p_place + p_swap
-    for op in range(1, steps + 1):
-        r = u.next()
-        if unplaced_list and r < p_place:
-            k = u.index(len(unplaced_list))
-            i = unplaced_list[k]
-            cost += st.try_place(i, u)
-            if st.pos[i] is not None:
-                unplaced_list[k] = unplaced_list[-1]
-                unplaced_list.pop()
-                placed_list.append(i)
-        elif swappable and r < p_either:
-            g = swappable[u.index(len(swappable))]
-            i = u.index(len(g))
-            j = u.index(len(g) - 1)
-            if j >= i:
-                j += 1
-            cost += st.try_swap(g[i], g[j], temp, u)
-        else:
-            if not placed_list:
-                continue
-            i = placed_list[u.index(len(placed_list))]
-            cost += st.try_move(i, temp, u)
-        if cost < best - 1e-9:
-            best = cost
-            events.append((op, best))
-    return cost, best, events

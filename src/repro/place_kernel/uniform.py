@@ -40,6 +40,29 @@ class UniformBuffer:
         self._i = i + 1
         return buf[i]
 
+    def window(self, n: int) -> tuple[list[float], int]:
+        """The upcoming draws as ``(buf, i)``, at least ``n`` of them.
+
+        ``buf[i:]`` are the next draws in stream order.  A hot loop that
+        inlines :meth:`next` reads them directly and hands its position
+        back with :meth:`seek`.  Fetching blocks early leaves the stream
+        unchanged: the generator feeds this buffer alone, so its next
+        block is the same whenever it is drawn.
+        """
+        i = self._i
+        buf = self._buf
+        if len(buf) - i < n:
+            buf = buf[i:]
+            while len(buf) < n:
+                buf += self._rng.random(self._block).tolist()
+            self._buf = buf
+            self._i = i = 0
+        return buf, i
+
+    def seek(self, i: int) -> None:
+        """Set the index of the next unread draw in the buffer."""
+        self._i = i
+
     def index(self, n: int) -> int:
         """One draw mapped to ``{0, ..., n-1}``."""
         k = int(self.next() * n)

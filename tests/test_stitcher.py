@@ -26,6 +26,17 @@ def _design(n_instances: int, modules: dict[str, Footprint]) -> tuple[BlockDesig
     return d, modules
 
 
+class TestSAParams:
+    @pytest.mark.parametrize("steps", [0, -1, -250])
+    def test_steps_per_temp_must_be_positive(self, steps):
+        """A temperature step of no moves would anneal forever."""
+        with pytest.raises(ValueError, match="steps_per_temp"):
+            SAParams(steps_per_temp=steps)
+
+    def test_one_step_per_temperature_allowed(self):
+        assert SAParams(steps_per_temp=1).steps_per_temp == 1
+
+
 class TestStitchBasics:
     def test_all_placed_when_roomy(self, z020):
         fp = Footprint((_LL, _LM), (10, 10))
