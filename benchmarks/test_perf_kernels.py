@@ -205,10 +205,13 @@ def test_perf_stitch_fast_vs_reference(grid):
     """The fast kernel must beat the reference kernel on the same run.
 
     This is the CI perf-smoke gate: it fails if a regression makes the
-    fast kernel slower than the straightforward one, and doubles
-    as an equivalence check on the benchmark workload.
+    library's kernel slower than the straightforward one kept in
+    ``tests/kernel_reference.py``, and doubles as an equivalence check
+    on the benchmark workload.
     """
     import time
+
+    from tests.kernel_reference import kernel_context
 
     d, fps = _stitch_case()
     params = SAParams(max_iters=2000, seed=0)
@@ -216,9 +219,10 @@ def test_perf_stitch_fast_vs_reference(grid):
     def best_of(kernel: str, results: list) -> float:
         elapsed = []
         for _ in range(3):
-            t0 = time.perf_counter()
-            results.append(stitch(d, fps, grid, params, kernel=kernel))
-            elapsed.append(time.perf_counter() - t0)
+            with kernel_context(kernel):
+                t0 = time.perf_counter()
+                results.append(stitch(d, fps, grid, params))
+                elapsed.append(time.perf_counter() - t0)
         return min(elapsed)
 
     fast_results: list = []
@@ -239,12 +243,15 @@ def test_perf_fused_move_loop_vs_reference():
     This is the CI perf-smoke gate for the move loop: it stitches the
     cnvW1A1 footprints pre-implemented at minimal CF for the xc7z020 on
     the xc7z045 (the cnv_flow benchmark's slowest stitch) for exactly
-    20k iterations with both
-    kernels.  They must give identical placements and cost, and the fast
-    kernel must take at most a tenth of the reference's time,
-    measured on the same machine (best of five, kernels alternating).
+    20k iterations with the library's kernel and with the reference
+    kernel of ``tests/kernel_reference.py``.  They must give identical
+    placements and cost, and the fast kernel must take at most a tenth
+    of the reference's time, measured on the same machine (best of
+    five, kernels alternating).
     """
     import time
+
+    from tests.kernel_reference import kernel_context
 
     from repro.cnv import cnv_design
     from repro.device.parts import xc7z020, xc7z045
@@ -268,9 +275,10 @@ def test_perf_fused_move_loop_vs_reference():
     results = {}
     for _ in range(5):
         for kernel, elapsed in times.items():
-            t0 = time.perf_counter()
-            results[kernel] = stitch(design, footprints, z045, params, kernel=kernel)
-            elapsed.append(time.perf_counter() - t0)
+            with kernel_context(kernel):
+                t0 = time.perf_counter()
+                results[kernel] = stitch(design, footprints, z045, params)
+                elapsed.append(time.perf_counter() - t0)
     fast, ref = results["fast"], results["reference"]
     t_fast, t_ref = min(times["fast"]), min(times["reference"])
     assert fast.iterations == ref.iterations == 20000

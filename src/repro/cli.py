@@ -493,7 +493,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
     if s.stats is not None:
         st = s.stats
         print(
-            f"  kernel={st.kernel} seed={st.seed} "
+            f"  seed={st.seed} "
             f"accept rate {st.accept_rate * 100:.1f}%, "
             f"{st.total_s:.2f}s ({st.breakdown()})"
         )

@@ -125,8 +125,6 @@ class DSEExplorer:
         Device for full-design stitching (defaults to ``grid``).
     sa_params:
         Stitcher budget per variant.
-    kernel:
-        Stitcher move-kernel (``"fast"`` or ``"reference"``).
     cache:
         Shared :class:`~repro.flow.cache.ModuleCache`.  Passing the same
         cache to several explorers (or to :func:`~repro.flow.rwflow.run_rw_flow`)
@@ -161,7 +159,6 @@ class DSEExplorer:
         *,
         stitch_grid: DeviceGrid | None = None,
         sa_params: SAParams | None = None,
-        kernel: str = "fast",
         cache: ModuleCache | None = None,
         cache_dir: str | None = None,
         placers: Sequence[Placer] | str | None = None,
@@ -173,14 +170,13 @@ class DSEExplorer:
         self.policy = policy or FixedCF(1.7)
         self.stitch_grid = stitch_grid or grid
         self.sa_params = sa_params or SAParams(max_iters=8000, seed=0)
-        self.kernel = kernel
         self.cache = cache if cache is not None else ModuleCache(cache_dir)
         if placers is None:
             self.placers: tuple[Placer, ...] = (
-                SAPlacer(params=self.sa_params, kernel=self.kernel),
+                SAPlacer(params=self.sa_params),
             )
         elif placers == "portfolio":
-            self.placers = default_portfolio(self.sa_params, self.kernel)
+            self.placers = default_portfolio(self.sa_params)
         elif isinstance(placers, str):
             raise ValueError(
                 f"unknown placer portfolio {placers!r}; "

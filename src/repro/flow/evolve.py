@@ -16,8 +16,8 @@ move kernel the SA stitcher anneals with
 legality rules and produce directly comparable costs.
 
 Budget accounting is move-compatible with SA: one kernel placement
-operation (a decode step, a restore step, or one ``try_move`` /
-``try_place`` / ``try_swap`` call) costs one unit of
+operation (a decode step, a restore step, one ``try_move`` call or one
+``run_moves`` operation) costs one unit of
 :attr:`GAParams.move_budget`, exactly what one SA iteration costs.
 ``evolve`` with ``move_budget=N`` and ``stitch`` with ``max_iters=N``
 spend the same number of kernel operations — the equal-budget contract
@@ -41,7 +41,7 @@ from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import KERNELS, PlacementKernel
+from repro.place_kernel.kernel import PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
 from repro.place_kernel.route_cost import build_route_model
@@ -211,7 +211,6 @@ def evolve(
     grid: DeviceGrid,
     params: GAParams | None = None,
     *,
-    kernel: str = "fast",
     module_delays: Mapping[str, float] | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> StitchResult:
@@ -227,9 +226,6 @@ def evolve(
     module_delays:
         Per-module delays (ns) seeding the timing cost term; ignored
         unless ``params.timing_weight`` is nonzero.
-    kernel:
-        Move-kernel choice (``"fast"`` or ``"reference"``); the GA
-        produces identical results on either for a fixed seed.
     tracer:
         Where the run's ``evolve`` span tree (``evolve.init`` /
         ``evolve.generations`` / ``evolve.repair`` — the three phases
@@ -246,13 +242,11 @@ def evolve(
         ``(budget_used, best_cost)`` trajectory.
     """
     params = params or GAParams()
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     ambient = tracer if tracer is not None else current_tracer()
     tr = ambient if ambient.enabled else Tracer()
 
     with tr.span(
-        "evolve", kernel=kernel, seed=params.seed, move_budget=params.move_budget
+        "evolve", seed=params.seed, move_budget=params.move_budget
     ) as sp_root:
         # ---------------------------------------------------------- init
         with tr.span("evolve.init") as sp_init:
@@ -264,7 +258,7 @@ def evolve(
                 timing_weight=params.timing_weight,
                 module_delays=module_delays,
             )
-            st = problem.make_kernel(kernel, params.unplaced_weight, route)
+            st = problem.make_kernel(params.unplaced_weight, route)
             swappable = problem.swappable
             n = st.n
             budget = _Budget(max(1, params.move_budget))
@@ -401,7 +395,6 @@ def evolve(
             sp_root.set_attr("cost.timing", timing_cost)
 
     stats = StitchStats(
-        kernel=kernel,
         seed=params.seed,
         setup_s=0.0,
         initial_s=sp_init.dur_s,

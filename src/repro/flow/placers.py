@@ -45,7 +45,6 @@ class SAPlacer:
     """
 
     params: SAParams = field(default_factory=SAParams)
-    kernel: str = "fast"
     name: str = "sa"
     initial_placements: Mapping[str, tuple[int, int] | None] | None = None
 
@@ -60,7 +59,7 @@ class SAPlacer:
     ) -> StitchResult:
         return stitch(
             design, dict(footprints), grid, self.params,
-            kernel=self.kernel, initial_placements=self.initial_placements,
+            initial_placements=self.initial_placements,
             module_delays=module_delays, tracer=tracer,
         )
 
@@ -70,7 +69,6 @@ class GAPlacer:
     """The evolutionary placer as a portfolio member."""
 
     params: GAParams = field(default_factory=GAParams)
-    kernel: str = "fast"
     name: str = "ga"
 
     def place(
@@ -84,7 +82,7 @@ class GAPlacer:
     ) -> StitchResult:
         return evolve(
             design, dict(footprints), grid, self.params,
-            kernel=self.kernel, module_delays=module_delays, tracer=tracer,
+            module_delays=module_delays, tracer=tracer,
         )
 
 
@@ -102,7 +100,6 @@ class WarmStartedSAPlacer:
     """
 
     params: SAParams = field(default_factory=SAParams)
-    kernel: str = "fast"
     #: GA warm-start budget fraction.
     warm_frac: float = 0.3
     name: str = "warm-sa"
@@ -128,7 +125,6 @@ class WarmStartedSAPlacer:
                 congestion_weight=self.params.congestion_weight,
                 timing_weight=self.params.timing_weight,
             ),
-            kernel=self.kernel,
             module_delays=module_delays,
             tracer=tracer,
         )
@@ -137,7 +133,6 @@ class WarmStartedSAPlacer:
                 self.params,
                 max_iters=max(1, self.params.max_iters - warm.iterations),
             ),
-            kernel=self.kernel,
             initial_placements=warm.placements,
         )
         return warm, polish
@@ -161,7 +156,7 @@ class WarmStartedSAPlacer:
 
 
 def default_portfolio(
-    sa_params: SAParams | None = None, kernel: str = "fast"
+    sa_params: SAParams | None = None,
 ) -> tuple[SAPlacer, GAPlacer, WarmStartedSAPlacer]:
     """SA, GA and GA-warm-started SA at the same total move budget each."""
     params = sa_params or SAParams()
@@ -173,7 +168,7 @@ def default_portfolio(
         timing_weight=params.timing_weight,
     )
     return (
-        SAPlacer(params=params, kernel=kernel),
-        GAPlacer(params=ga, kernel=kernel),
-        WarmStartedSAPlacer(params=params, kernel=kernel),
+        SAPlacer(params=params),
+        GAPlacer(params=ga),
+        WarmStartedSAPlacer(params=params),
     )

@@ -150,7 +150,6 @@ def refloorplan(
     policy: CFPolicy,
     *,
     sa_params: SAParams | None = None,
-    kernel: str = "fast",
     n_seeds: int = 1,
     n_workers: int | None = None,
     preimpl_workers: int | None = None,
@@ -163,7 +162,7 @@ def refloorplan(
     recovery in a fixed-partition system is a complete recompile of the
     updated design — exactly the cost the paper's RW-style flow avoids.
     This delegates to :func:`~repro.flow.rwflow.run_rw_flow`, exposing
-    the stitcher kernel and multi-seed restart knobs so the expensive
+    the multi-seed restart knobs so the expensive
     recovery can at least use the best placement of several seeds, and
     the pre-implementation cache/worker knobs so the recompile reuses
     every module the update did not touch.
@@ -172,7 +171,7 @@ def refloorplan(
         design,
         grid,
         policy,
-        placer=SAPlacer(sa_params or SAParams(), kernel=kernel),
+        placer=SAPlacer(sa_params or SAParams()),
         n_seeds=n_seeds,
         n_workers=n_workers,
         preimpl_workers=preimpl_workers,

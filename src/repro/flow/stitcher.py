@@ -11,18 +11,14 @@ faster with 40% lower cost than constant CF = 1.68).
 
 The geometry/cost primitives and the move loop live in
 :mod:`repro.place_kernel`; the driver here owns the temperature
-schedule and calls the kernel's ``run_moves`` once per temperature
-step.  Two interchangeable kernels run it: ``"fast"`` (the default)
-runs one fused loop over bitmask occupancy and cached centers, and
-``"reference"`` runs the per-primitive loop over
-``try_place``/``try_swap``/``try_move`` — the executable specification.
-Both draw from the same batched uniform stream in the same order, so a
-fixed seed produces identical placements, costs, history and move
-counters on either kernel — enforced by
-``tests/test_stitcher_equivalence.py`` and pinned by the golden costs in
-``tests/test_golden_costs.py``.  The same kernel
-also powers the GA placer (:mod:`repro.flow.evolve`), which is what
-makes SA-vs-GA costs directly comparable.
+schedule and calls the kernel's fused ``run_moves`` once per
+temperature step.  A fixed seed produces identical placements, costs,
+history and move counters, pinned by the golden costs in
+``tests/test_golden_costs.py`` and held to the straightforward
+reference kernel of ``tests/kernel_reference.py`` by
+``tests/test_stitcher_equivalence.py``.  The same kernel also powers
+the GA placer (:mod:`repro.flow.evolve`), which is what makes SA-vs-GA
+costs directly comparable.
 """
 
 from __future__ import annotations
@@ -36,13 +32,12 @@ from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import KERNELS
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
 from repro.place_kernel.route_cost import build_route_model
 from repro.place_kernel.uniform import UniformBuffer
 
-__all__ = ["KERNELS", "SAParams", "StitchResult", "StitchStats", "stitch"]
+__all__ = ["SAParams", "StitchResult", "StitchStats", "stitch"]
 
 
 @dataclass(frozen=True)
@@ -101,10 +96,8 @@ def stitch(
     params:
         Annealing parameters.
     kernel:
-        ``"fast"`` (bitmask occupancy, cached centers, one fused move
-        loop) or ``"reference"`` (the straightforward implementation,
-        driven by the per-primitive move loop).  Both produce identical
-        results for a fixed seed.
+        Must be ``"fast"``, the one move kernel; any other value raises
+        ``ValueError``.  Kept so existing ``kernel="fast"`` callers work.
     initial_placements:
         Optional warm start: anchor per instance name (``None`` entries
         and missing names stay unplaced).  Anchors are applied in
@@ -130,8 +123,8 @@ def stitch(
         instrumentation.
     """
     params = params or SAParams()
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+    if kernel != "fast":
+        raise ValueError(f"unknown kernel {kernel!r}; the only kernel is 'fast'")
     ambient = tracer if tracer is not None else current_tracer()
     tr = ambient if ambient.enabled else Tracer()
 
@@ -139,7 +132,7 @@ def stitch(
     # root entry and exit lives inside exactly one phase, so the phase
     # durations sum to the run's wall time (pinned by
     # tests/test_stitcher.py::test_phase_timings_tile_wall_time).
-    with tr.span("stitch", kernel=kernel, seed=params.seed) as sp_root:
+    with tr.span("stitch", seed=params.seed) as sp_root:
         with tr.span("stitch.setup") as sp_setup:
             problem = PlacementProblem.from_design(design, footprints, grid)
             names = problem.names
@@ -149,7 +142,7 @@ def stitch(
                 timing_weight=params.timing_weight,
                 module_delays=module_delays,
             )
-            st = problem.make_kernel(kernel, params.unplaced_weight, route)
+            st = problem.make_kernel(params.unplaced_weight, route)
             swappable = problem.swappable
             edges = problem.edges
 
@@ -235,7 +228,6 @@ def stitch(
             sp_root.set_attr("cost.timing", timing_cost)
 
     stats = StitchStats(
-        kernel=kernel,
         seed=params.seed,
         setup_s=sp_setup.dur_s,
         initial_s=sp_initial.dur_s,

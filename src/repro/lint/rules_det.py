@@ -1,7 +1,7 @@
 """DET rules: source-level determinism hazards.
 
 The flow's headline numbers (CF-estimator error bars, SA convergence,
-fast/reference kernel equivalence) are only meaningful because a fixed
+kernel-vs-reference equivalence) are only meaningful because a fixed
 seed reproduces them bitwise.  These rules catch the ways that property
 silently erodes: ambient RNG state, wall-clock reads in library code,
 and iteration orders the runtime does not guarantee.

@@ -6,10 +6,10 @@ drives the *same* primitives:
 
 * :mod:`repro.place_kernel.sites` — per-footprint compatible-site
   tables (anchor columns, hard-block pitch, occupancy bitmasks);
-* :mod:`repro.place_kernel.kernel` — the two equivalence-tested move
-  kernels (``"fast"`` bitmask occupancy with one fused move loop,
-  ``"reference"`` the executable specification) with the move loop and
-  the packing and HPWL primitives;
+* :mod:`repro.place_kernel.kernel` — the move kernel: bitmask
+  occupancy, the packing and HPWL primitives and one fused move loop,
+  held bit for bit to the straightforward oracle in
+  ``tests/kernel_reference.py``;
 * :mod:`repro.place_kernel.uniform` — the batched uniform stream all
   optimizer randomness flows through;
 * :mod:`repro.place_kernel.problem` — the flattened
@@ -25,13 +25,7 @@ hard-block pitch) are enforced across optimizers by
 ``tests/test_place_kernel.py``.
 """
 
-from repro.place_kernel.kernel import (
-    KERNELS,
-    FastKernel,
-    PlacementKernel,
-    ReferenceKernel,
-    make_kernel,
-)
+from repro.place_kernel.kernel import PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.protocol import Placer, WarmStartPlacer
 from repro.place_kernel.result import StitchResult, StitchStats
@@ -55,12 +49,9 @@ __all__ = [
     "CHANNEL_CAPACITY",
     "HARD_KINDS",
     "HARD_PITCH",
-    "KERNELS",
-    "FastKernel",
     "Placer",
     "PlacementKernel",
     "PlacementProblem",
-    "ReferenceKernel",
     "RouteCostModel",
     "SiteTable",
     "StitchResult",
@@ -71,6 +62,5 @@ __all__ = [
     "channel_window",
     "dilate_down",
     "edge_criticality",
-    "make_kernel",
     "site_table",
 ]

@@ -1,33 +1,30 @@
-"""Move kernels: the geometry/cost primitives and move loop of macro placement.
+"""The move kernel: geometry/cost primitives and move loop of macro placement.
 
-Two interchangeable kernels implement overlap probing, occupancy
-painting, incremental HPWL, greedy packing and the SA move loop under
-one shared contract:
+:class:`PlacementKernel` implements overlap probing, occupancy painting,
+incremental HPWL, greedy packing and the SA move loop:
 
-* ``kernel="fast"`` (default) — per-column occupancy bitmasks stored as
-  Python big-ints (an overlap probe is one shift+AND per column, and the
-  greedy packer finds the lowest legal row with a logarithmic bit
-  dilation instead of a row scan), per-footprint compatible-site tables
-  shared by every instance of a module, centers cached in Python lists,
-  and one fused move loop (:meth:`FastKernel.run_moves`) that inlines
+* per-column occupancy bitmasks stored as Python big-ints (an overlap
+  probe is one shift+AND per column, and the greedy packer finds the
+  lowest legal row with a logarithmic bit dilation instead of a row
+  scan);
+* per-footprint compatible-site tables shared by every instance of a
+  module, and centers cached in Python lists;
+* one fused move loop (:meth:`PlacementKernel.run_moves`) that inlines
   the uniform draws, site sampling, bitmask probe and cost delta of
   every move instead of calling a method per primitive.
-* ``kernel="reference"`` — the original straightforward implementation
-  (numpy occupancy slicing, per-edge Python sums) driven by the
-  per-primitive move loop :meth:`PlacementKernel.run_moves` over
-  ``try_place``/``try_swap``/``try_move``.  Kept as the executable
-  specification that the fast kernel is tested against.
 
-Both kernels draw from the same batched uniform stream (see
-:class:`~repro.place_kernel.uniform.UniformBuffer`) in the same order,
-so a fixed seed produces identical placements, costs, history and move
-counters on either kernel — enforced by
-``tests/test_stitcher_equivalence.py``.  With the integer edge widths
-``BlockDesign`` produces, every HPWL term is a dyadic rational that
-float64 evaluates exactly in any summation order, which is what makes
-the equivalence bitwise rather than approximate.
+Every random decision is drawn from one batched uniform stream (see
+:class:`~repro.place_kernel.uniform.UniformBuffer`), so a fixed seed
+produces identical placements, costs, history and move counters.  The
+straightforward executable specification — numpy occupancy slicing,
+per-edge Python sums and a per-primitive move loop — lives in the test
+suite (``tests/kernel_reference.py``), and the kernel is held to it draw
+for draw by ``tests/test_stitcher_equivalence.py``.  With the integer
+edge widths ``BlockDesign`` produces, every HPWL term is a dyadic
+rational that float64 evaluates exactly in any summation order, which is
+what makes the equivalence bitwise rather than approximate.
 
-The kernels are optimizer-agnostic: the SA stitcher
+The kernel is optimizer-agnostic: the SA stitcher
 (:mod:`repro.flow.stitcher`) and the GA evolver
 (:mod:`repro.flow.evolve`) both drive the same move loop and
 primitives, which is what makes their costs directly comparable and
@@ -47,31 +44,18 @@ from repro.place_kernel.route_cost import RouteCostModel
 from repro.place_kernel.sites import SiteTable, dilate_down, site_table
 from repro.place_kernel.uniform import UniformBuffer
 
-__all__ = [
-    "KERNELS",
-    "FastKernel",
-    "PlacementKernel",
-    "ReferenceKernel",
-    "make_kernel",
-]
-
-#: Selectable move-kernel implementations.
-KERNELS = ("fast", "reference")
+__all__ = ["PlacementKernel"]
 
 
 class PlacementKernel:
-    """Shared state and move logic of one placement run.
+    """State, primitives and move loop of one placement run.
 
-    Subclasses provide the geometry/cost primitives (``fits``, ``paint``,
-    ``set_pos``, ``incident_cost``, ``wirelength``, ``lowest_fit_y``,
-    ``occupancy_array``); everything that touches the random stream or
-    decides moves lives here, once, as the specification both kernels
-    behave like regardless of which optimizer drives them.
-    :class:`FastKernel` overrides only :meth:`run_moves`, with a fused
-    loop that must match it draw for draw.
+    The primitives (``fits``, ``paint``, ``set_pos``, ``incident_cost``,
+    ``wirelength``, ``lowest_fit_y``, ``occupancy_array``) work on
+    bitmask occupancy and cached centers; :meth:`run_moves` is the SA
+    move mix as one fused loop, and :meth:`try_move` the single
+    relocation the GA's polish applies.
     """
-
-    name = "?"
 
     def __init__(
         self,
@@ -84,7 +68,6 @@ class PlacementKernel:
     ) -> None:
         self.grid = grid
         self.names = names
-        self.fps = footprints
         self.edges = edges
         self.unplaced_weight = unplaced_weight
         self.n = len(names)
@@ -108,6 +91,11 @@ class PlacementKernel:
         self.y_max = [self.tables[t].y_max for t in self.table_of]
         self.n_y = [self.tables[t].n_y for t in self.table_of]
         self.areas = [self.tables[t].area for t in self.table_of]
+        self.masks = [self.tables[t].masks for t in self.table_of]
+        # Center offsets of the trimmed footprints (HPWL, channel and
+        # timing geometry all measure between these centers).
+        self.half_w = [self.tables[t].half_w for t in self.table_of]
+        self.half_h = [self.tables[t].half_h for t in self.table_of]
         self.pos: list[tuple[int, int] | None] = [None] * self.n
         # Incident edges per instance for O(deg) cost deltas.
         self.incident: list[list[int]] = [[] for _ in range(self.n)]
@@ -126,42 +114,88 @@ class PlacementKernel:
         # HPWL kernel — the zero-weight neutrality the goldens pin.
         self.route = route
         self._cong = route is not None and route.has_congestion
-        self._tw = (
+        tw = (
             list(route.timing_edge_weight)
             if route is not None and route.has_timing
             else None
         )
-        if route is not None:
-            # Center offsets for the channel/timing geometry (the same
-            # trimmed-footprint half extents the HPWL centers use).
-            self._chw = [self.tables[t].half_w for t in self.table_of]
-            self._chh = [self.tables[t].half_h for t in self.table_of]
-        if self._tw is not None:
-            # Effective per-edge weights: HPWL width plus the quantized
-            # timing weight.  Both are dyadic, so folding them keeps the
-            # incident-cost sums exact (bitwise fast==reference).
-            self._effw = [
-                float(e[2]) + self._tw[ei] for ei, e in enumerate(edges)
-            ]
-        else:
-            self._effw = None
+        # Occupancy as one big-int bitmask per column: bit y set means CLB
+        # row y is occupied.  fits() is then a shift+AND per column.
+        self.colmask = [0] * grid.n_cols
+        # What the fused move loop reads of an instance, in one tuple:
+        # anchor columns and their count, row count and pitch, column
+        # masks, column span (a relocation whose old and new spans are
+        # disjoint probes legality without painting out) and center
+        # offsets.  None for an instance with no compatible site.
+        self.sites = [
+            (xs, len(xs), ny, ys, m, fp.width, hw, hh)
+            if xs and ymax >= 0
+            else None
+            for xs, ny, ys, ymax, m, fp, hw, hh in zip(
+                self.anchors_x, self.n_y, self.y_step, self.y_max,
+                self.masks, footprints, self.half_w, self.half_h,
+            )
+        ]
+        # Cached centers, maintained by set_pos (stale while unplaced).
+        self.cx = [0.0] * self.n
+        self.cy = [0.0] * self.n
+        # Flat edge endpoints for vectorized whole-design cost sums.
+        self.ea = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
+        self.eb = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
+        self.ew = np.fromiter((e[2] for e in edges), dtype=np.float64, count=len(edges))
+        # Neighbor lists (other endpoint, weight) per instance.  With the
+        # timing term enabled the neighbor weights are the *effective*
+        # (HPWL + quantized timing) weights, so the per-move incident
+        # sums price both terms in one pass; both are dyadic, so folding
+        # them keeps the sums exact.  Self-loops are left out: their
+        # length is always 0.0, and a move prices its old and new center
+        # against the neighbors' centers in one pass.
+        self.nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+        for ei, (a, b, w) in enumerate(edges):
+            if a == b:
+                continue
+            wc = w if tw is None else float(w) + tw[ei]
+            self.nbrs[a].append((b, wc))
+            self.nbrs[b].append((a, wc))
+        # Timing weights as a flat array for the vectorized timing_cost.
+        self._twa = np.array(tw, dtype=np.float64) if tw is not None else None
+        # Incremental channel-demand state: integer demand per channel,
+        # the running overflow, and the channel window each edge has
+        # currently applied (so removal exactly undoes addition through
+        # moves, swaps, clears and restores — O(deg) per set_pos).
+        if self._cong:
+            self._col_dem = np.zeros(route.n_col_channels, dtype=np.int64)
+            self._row_dem = np.zeros(route.n_row_channels, dtype=np.int64)
+            self._ovf = 0
+            self._ewin: list[tuple[int, int, int, int] | None] = (
+                [None] * len(edges)
+            )
 
-    # ------------------------------------------------------------ primitives
+    # ------------------------------------------------------------ geometry
 
     def fits(self, i: int, x: int, y: int) -> bool:
-        raise NotImplementedError
+        cm = self.colmask
+        for c, m, _h in self.masks[i]:
+            if cm[x + c] & (m << y):
+                return False
+        return True
 
     def paint(self, i: int, x: int, y: int, delta: int) -> None:
-        raise NotImplementedError
+        cm = self.colmask
+        if delta > 0:
+            for c, m, _h in self.masks[i]:
+                cm[x + c] |= m << y
+        else:
+            for c, m, _h in self.masks[i]:
+                cm[x + c] &= ~(m << y)
 
     def set_pos(self, i: int, p: tuple[int, int] | None) -> None:
         self.pos[i] = p
-
-    def incident_cost(self, i: int) -> float:
-        raise NotImplementedError
-
-    def wirelength(self) -> float:
-        raise NotImplementedError
+        if p is not None:
+            self.cx[i] = p[0] + self.half_w[i]
+            self.cy[i] = p[1] + self.half_h[i]
+        if self._cong:
+            self._cong_update(i)
 
     def lowest_fit_y(self, i: int, x: int, bound: int | None = None) -> int | None:
         """Lowest legal anchor row for ``i`` in column ``x``.
@@ -169,10 +203,34 @@ class PlacementKernel:
         Rows at or above ``bound`` are rejected (the greedy packer's
         cannot-beat-the-best pruning).
         """
-        raise NotImplementedError
+        t = self.tables[self.table_of[i]]
+        allowed = t.allowed_mask
+        if not allowed:
+            return None
+        bad = 0
+        cm = self.colmask
+        for c, _m, h in self.masks[i]:
+            col = cm[x + c]
+            if col:
+                bad |= dilate_down(col, h)
+        free = allowed & ~bad
+        if not free:
+            return None
+        y = (free & -free).bit_length() - 1
+        if bound is not None and y >= bound:
+            return None
+        return y
 
     def occupancy_array(self) -> np.ndarray:
-        raise NotImplementedError
+        occ = np.zeros((self.grid.n_cols, self.grid.height_clbs), dtype=np.int16)
+        for i in range(self.n):
+            p = self.pos[i]
+            if p is None:
+                continue
+            x, y = p
+            for c, _m, h in self.masks[i]:
+                occ[x + c, y : y + h] += 1
+        return occ
 
     def clear(self) -> None:
         """Unplace every instance and empty the occupancy.
@@ -223,6 +281,38 @@ class PlacementKernel:
 
     # ------------------------------------------------------------ cost
 
+    def incident_cost(self, i: int) -> float:
+        pos = self.pos
+        if pos[i] is None:
+            return 0.0
+        cx = self.cx
+        cy = self.cy
+        xi = cx[i]
+        yi = cy[i]
+        total = 0.0
+        for o, w in self.nbrs[i]:
+            if pos[o] is not None:
+                total += w * (abs(xi - cx[o]) + abs(yi - cy[o]))
+        return total
+
+    def _edge_lengths(self, weights: np.ndarray) -> float:
+        """``sum_e weights_e * (|dx| + |dy|)`` over placed-placed edges."""
+        if self.ea.size == 0:
+            return 0.0
+        placed = np.fromiter(
+            (p is not None for p in self.pos), dtype=bool, count=self.n
+        )
+        cx = np.array(self.cx)
+        cy = np.array(self.cy)
+        ea, eb = self.ea, self.eb
+        both = placed[ea] & placed[eb]
+        dx = np.abs(cx[ea] - cx[eb])
+        dy = np.abs(cy[ea] - cy[eb])
+        return float(np.sum(np.where(both, weights * (dx + dy), 0.0)))
+
+    def wirelength(self) -> float:
+        return self._edge_lengths(self.ew)
+
     def total_cost(self) -> float:
         pen = self.unplaced_weight * sum(
             self.areas[i] for i in range(self.n) if self.pos[i] is None
@@ -246,10 +336,10 @@ class PlacementKernel:
         pa, pb = self.pos[a], self.pos[b]
         if pa is None or pb is None:
             return None
-        ax = pa[0] + self._chw[a]
-        bx = pb[0] + self._chw[b]
-        ay = pa[1] + self._chh[a]
-        by = pb[1] + self._chh[b]
+        ax = pa[0] + self.half_w[a]
+        bx = pb[0] + self.half_w[b]
+        ay = pa[1] + self.half_h[a]
+        by = pb[1] + self.half_h[b]
         if ax > bx:
             ax, bx = bx, ax
         if ay > by:
@@ -261,42 +351,42 @@ class PlacementKernel:
         r1 = min(route.n_row_channels - 1, math.ceil(by) - 2)
         return c0, c1, r0, r1
 
-    def _scratch_congestion(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """From-scratch integer channel demand and total overflow.
+    def _cong_apply(
+        self, ei: int, win: tuple[int, int, int, int], sign: int
+    ) -> None:
+        """Add/remove edge ``ei``'s demand over ``win``, tracking overflow."""
+        w = self.edges[ei][2] * sign
+        cap = self.route.capacity
+        c0, c1, r0, r1 = win
+        if c1 >= c0:
+            seg = self._col_dem[c0 : c1 + 1]
+            over0 = int(np.maximum(seg - cap, 0).sum())
+            seg += w
+            self._ovf += int(np.maximum(seg - cap, 0).sum()) - over0
+        if r1 >= r0:
+            seg = self._row_dem[r0 : r1 + 1]
+            over0 = int(np.maximum(seg - cap, 0).sum())
+            seg += w
+            self._ovf += int(np.maximum(seg - cap, 0).sum()) - over0
 
-        The executable specification of the fast kernel's incremental
-        overflow: ``(column_demand, row_demand, overflow)`` recomputed
-        from the current positions.  All-integer, so it agrees with the
-        incremental path exactly, not approximately.
-        """
-        route = self.route
-        col = np.zeros(route.n_col_channels, dtype=np.int64)
-        row = np.zeros(route.n_row_channels, dtype=np.int64)
-        for ei, e in enumerate(self.edges):
+    def _cong_update(self, i: int) -> None:
+        """Re-derive the applied channel windows of ``i``'s incident edges."""
+        for ei in self.incident[i]:
+            old = self._ewin[ei]
+            if old is not None:
+                self._cong_apply(ei, old, -1)
             win = self._edge_window(ei)
-            if win is None:
-                continue
-            c0, c1, r0, r1 = win
-            w = e[2]
-            if c1 >= c0:
-                col[c0 : c1 + 1] += w
-            if r1 >= r0:
-                row[r0 : r1 + 1] += w
-        cap = route.capacity
-        over = int(np.maximum(col - cap, 0).sum()) + int(
-            np.maximum(row - cap, 0).sum()
-        )
-        return col, row, over
+            self._ewin[ei] = win
+            if win is not None:
+                self._cong_apply(ei, win, +1)
 
     def congestion_overflow(self) -> int:
         """Total wires above channel capacity, summed over all channels.
 
-        Only meaningful when the congestion term is enabled; the fast
-        kernel overrides this with its incrementally maintained count.
+        Maintained incrementally by :meth:`set_pos`; 0 when the
+        congestion term is disabled.
         """
-        if self.route is None:
-            return 0
-        return self._scratch_congestion()[2]
+        return self._ovf if self._cong else 0
 
     def congestion_cost(self) -> float:
         """``congestion_weight * overflow`` (0.0 when disabled)."""
@@ -310,24 +400,9 @@ class PlacementKernel:
         ``sum_e tw_e * (|dx| + |dy|)`` over placed-placed edges with the
         quantized criticality weights — exact in any summation order.
         """
-        tw = self._tw
-        if tw is None:
+        if self._twa is None:
             return 0.0
-        pos = self.pos
-        chw = self._chw
-        chh = self._chh
-        total = 0.0
-        for ei, (a, b, _w) in enumerate(self.edges):
-            wt = tw[ei]
-            if not wt:
-                continue
-            pa, pb = pos[a], pos[b]
-            if pa is None or pb is None:
-                continue
-            dx = abs((pa[0] + chw[a]) - (pb[0] + chw[b]))
-            dy = abs((pa[1] + chh[a]) - (pb[1] + chh[b]))
-            total += wt * (dx + dy)
-        return total
+        return self._edge_lengths(self._twa)
 
     # ------------------------------------------------------------ initial
 
@@ -387,7 +462,7 @@ class PlacementKernel:
 
         ``temp`` is the Metropolis temperature; at ``temp=0.0`` the move
         is pure hill climbing (only improving relocations accepted),
-        which is how the GA's polish phase reuses the same primitive.
+        which is how the GA's polish phase applies it.
         """
         self.move_attempts += 1
         site = self.random_site(i, u)
@@ -417,56 +492,6 @@ class PlacementKernel:
         self.paint(i, old[0], old[1], +1)
         return 0.0
 
-    def try_place(self, i: int, u: UniformBuffer) -> float:
-        """Attempt to place an unplaced instance (always beneficial)."""
-        self.place_attempts += 1
-        cong_before = (
-            self.route.congestion_weight * self.congestion_overflow()
-            if self._cong
-            else 0.0
-        )
-        for _ in range(8):
-            site = self.random_site(i, u)
-            if site is None:
-                return 0.0
-            x, y = site
-            if self.fits(i, x, y):
-                self.set_pos(i, (x, y))
-                self.paint(i, x, y, +1)
-                self.place_accepts += 1
-                gain = self.incident_cost(i) - self.unplaced_weight * self.areas[i]
-                if self._cong:
-                    gain += (
-                        self.route.congestion_weight
-                        * self.congestion_overflow()
-                        - cong_before
-                    )
-                return gain
-            self.illegal += 1
-        return 0.0
-
-    def try_swap(self, i: int, j: int, temp: float, u: UniformBuffer) -> float:
-        """Swap two placed instances with identical footprints."""
-        self.swap_attempts += 1
-        pi, pj = self.pos[i], self.pos[j]
-        if pi is None or pj is None or pi == pj:
-            return 0.0
-        before = self.incident_cost(i) + self.incident_cost(j)
-        if self._cong:
-            before += self.route.congestion_weight * self.congestion_overflow()
-        self.set_pos(i, pj)
-        self.set_pos(j, pi)
-        after = self.incident_cost(i) + self.incident_cost(j)
-        if self._cong:
-            after += self.route.congestion_weight * self.congestion_overflow()
-        delta = after - before
-        if delta <= 0 or u.next() < math.exp(-delta / max(temp, 1e-9)):
-            self.swap_accepts += 1
-            return delta  # identical footprints: occupancy is unchanged
-        self.set_pos(i, pi)
-        self.set_pos(j, pj)
-        return 0.0
-
     # ------------------------------------------------------------ move loop
 
     def run_moves(
@@ -491,350 +516,25 @@ class PlacementKernel:
         exactly ``steps`` units of the shared kernel-operation budget
         (one unit == one SA iteration == one GA budget unit).
 
-        This per-primitive version, built from :meth:`try_place`,
-        :meth:`try_swap` and :meth:`try_move`, is the executable
-        specification: :class:`ReferenceKernel` runs it, and
-        :class:`FastKernel` overrides it with one fused loop that must
-        match it draw for draw.
+        Each op draws the move choice, then: a *place* move (probability
+        ``p_place`` while blocks are unplaced) samples up to 8 sites for
+        a random unplaced block and takes the first legal one; a *swap*
+        (probability ``p_swap``) exchanges two same-module blocks; any
+        other op relocates a random placed block.  Uphill swaps and
+        relocations pass the Metropolis test at ``temp``.
 
-        ``placed_list`` / ``unplaced_list`` are mutated in place
-        (membership changes on successful place moves).  Returns
-        ``(cost, best, events)`` where ``events`` lists every new best as
-        a 1-based ``(op_offset, cost)`` pair within the batch.
-        """
-        events: list[tuple[int, float]] = []
-        p_either = p_place + p_swap
-        for op in range(1, steps + 1):
-            r = u.next()
-            if unplaced_list and r < p_place:
-                k = u.index(len(unplaced_list))
-                i = unplaced_list[k]
-                cost += self.try_place(i, u)
-                if self.pos[i] is not None:
-                    unplaced_list[k] = unplaced_list[-1]
-                    unplaced_list.pop()
-                    placed_list.append(i)
-            elif swappable and r < p_either:
-                g = swappable[u.index(len(swappable))]
-                i = u.index(len(g))
-                j = u.index(len(g) - 1)
-                if j >= i:
-                    j += 1
-                cost += self.try_swap(g[i], g[j], temp, u)
-            else:
-                if not placed_list:
-                    continue
-                i = placed_list[u.index(len(placed_list))]
-                cost += self.try_move(i, temp, u)
-            if cost < best - 1e-9:
-                best = cost
-                events.append((op, best))
-        return cost, best, events
-
-
-class ReferenceKernel(PlacementKernel):
-    """The original straightforward primitives (executable specification)."""
-
-    name = "reference"
-
-    def __init__(
-        self, grid, names, footprints, edges, unplaced_weight, route=None
-    ) -> None:
-        super().__init__(grid, names, footprints, edges, unplaced_weight, route)
-        self.occ = np.zeros((grid.n_cols, grid.height_clbs), dtype=np.int16)
-        self.heights = [self.tables[t].heights_arr for t in self.table_of]
-
-    # ------------------------------------------------------------ geometry
-
-    def fits(self, i: int, x: int, y: int) -> bool:
-        hs = self.heights[i]
-        occ = self.occ
-        for c in range(hs.shape[0]):
-            h = hs[c]
-            if h and occ[x + c, y : y + h].any():
-                return False
-        return True
-
-    def paint(self, i: int, x: int, y: int, delta: int) -> None:
-        hs = self.heights[i]
-        for c in range(hs.shape[0]):
-            h = hs[c]
-            if h:
-                self.occ[x + c, y : y + h] += delta
-
-    def lowest_fit_y(self, i: int, x: int, bound: int | None = None) -> int | None:
-        for y in range(0, self.y_max[i] + 1, self.y_step[i]):
-            if bound is not None and y >= bound:
-                return None
-            if self.fits(i, x, y):
-                return y
-        return None
-
-    def occupancy_array(self) -> np.ndarray:
-        return self.occ.copy()
-
-    # ------------------------------------------------------------ cost
-
-    def center(self, i: int) -> tuple[float, float]:
-        p = self.pos[i]
-        assert p is not None
-        fp = self.fps[i]
-        return (p[0] + fp.width / 2.0, p[1] + fp.max_height / 2.0)
-
-    def edge_cost(self, ei: int) -> float:
-        a, b, w = self.edges[ei]
-        if self.pos[a] is None or self.pos[b] is None:
-            return 0.0
-        ax, ay = self.center(a)
-        bx, by = self.center(b)
-        return w * (abs(ax - bx) + abs(ay - by))
-
-    def incident_cost(self, i: int) -> float:
-        effw = self._effw
-        if effw is None:
-            return sum(self.edge_cost(ei) for ei in self.incident[i])
-        # Timing-aware: the same per-edge distances, weighted by the
-        # effective (HPWL + quantized timing) weights.
-        total = 0.0
-        for ei in self.incident[i]:
-            a, b, _w = self.edges[ei]
-            if self.pos[a] is None or self.pos[b] is None:
-                continue
-            ax, ay = self.center(a)
-            bx, by = self.center(b)
-            total += effw[ei] * (abs(ax - bx) + abs(ay - by))
-        return total
-
-    def wirelength(self) -> float:
-        return sum(self.edge_cost(ei) for ei in range(len(self.edges)))
-
-
-class FastKernel(PlacementKernel):
-    """Bitmask/cached-center primitives and a fused move loop (the default)."""
-
-    name = "fast"
-
-    def __init__(
-        self, grid, names, footprints, edges, unplaced_weight, route=None
-    ) -> None:
-        super().__init__(grid, names, footprints, edges, unplaced_weight, route)
-        # Occupancy as one big-int bitmask per column: bit y set means CLB
-        # row y is occupied.  fits() is then a shift+AND per column.
-        self.colmask = [0] * grid.n_cols
-        self.masks = [self.tables[t].masks for t in self.table_of]
-        self.half_w = [self.tables[t].half_w for t in self.table_of]
-        self.half_h = [self.tables[t].half_h for t in self.table_of]
-        # What the fused move loop reads of an instance, in one tuple:
-        # anchor columns and their count, row count and pitch, column
-        # masks, column span (a relocation whose old and new spans are
-        # disjoint probes legality without painting out) and center
-        # offsets.  None for an instance with no compatible site.
-        self.sites = [
-            (xs, len(xs), ny, ys, m, fp.width, hw, hh)
-            if xs and ymax >= 0
-            else None
-            for xs, ny, ys, ymax, m, fp, hw, hh in zip(
-                self.anchors_x, self.n_y, self.y_step, self.y_max,
-                self.masks, footprints, self.half_w, self.half_h,
-            )
-        ]
-        # Cached centers, maintained by set_pos (stale while unplaced).
-        self.cx = [0.0] * self.n
-        self.cy = [0.0] * self.n
-        # Flat edge endpoints for vectorized whole-design cost sums.
-        self.ea = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
-        self.eb = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
-        self.ew = np.fromiter((e[2] for e in edges), dtype=np.float64, count=len(edges))
-        # Neighbor lists (other endpoint, weight) per instance.  With the
-        # timing term enabled the neighbor weights are the *effective*
-        # (HPWL + quantized timing) weights, so the per-move incident
-        # sums price both terms in one pass.  Self-loops are left out:
-        # their length is always 0.0, and a move prices its old and new
-        # center against the neighbors' centers in one pass.
-        self.nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for ei, (a, b, w) in enumerate(edges):
-            if a == b:
-                continue
-            wc = w if self._effw is None else self._effw[ei]
-            self.nbrs[a].append((b, wc))
-            self.nbrs[b].append((a, wc))
-        # Timing weights as a flat array for the vectorized timing_cost.
-        self._twa = (
-            np.array(self._tw, dtype=np.float64)
-            if self._tw is not None
-            else None
-        )
-        # Incremental channel-demand state: integer demand per channel,
-        # the running overflow, and the channel window each edge has
-        # currently applied (so removal exactly undoes addition through
-        # moves, swaps, clears and restores — O(deg) per set_pos).
-        if self._cong:
-            self._col_dem = np.zeros(route.n_col_channels, dtype=np.int64)
-            self._row_dem = np.zeros(route.n_row_channels, dtype=np.int64)
-            self._ovf = 0
-            self._ewin: list[tuple[int, int, int, int] | None] = (
-                [None] * len(edges)
-            )
-
-    # ------------------------------------------------------------ geometry
-
-    def fits(self, i: int, x: int, y: int) -> bool:
-        cm = self.colmask
-        for c, m, _h in self.masks[i]:
-            if cm[x + c] & (m << y):
-                return False
-        return True
-
-    def paint(self, i: int, x: int, y: int, delta: int) -> None:
-        cm = self.colmask
-        if delta > 0:
-            for c, m, _h in self.masks[i]:
-                cm[x + c] |= m << y
-        else:
-            for c, m, _h in self.masks[i]:
-                cm[x + c] &= ~(m << y)
-
-    def set_pos(self, i: int, p: tuple[int, int] | None) -> None:
-        self.pos[i] = p
-        if p is not None:
-            self.cx[i] = p[0] + self.half_w[i]
-            self.cy[i] = p[1] + self.half_h[i]
-        if self._cong:
-            self._cong_update(i)
-
-    # ---------------------------------------------------- congestion (incr)
-
-    def _cong_apply(
-        self, ei: int, win: tuple[int, int, int, int], sign: int
-    ) -> None:
-        """Add/remove edge ``ei``'s demand over ``win``, tracking overflow."""
-        w = self.edges[ei][2] * sign
-        cap = self.route.capacity
-        c0, c1, r0, r1 = win
-        if c1 >= c0:
-            seg = self._col_dem[c0 : c1 + 1]
-            over0 = int(np.maximum(seg - cap, 0).sum())
-            seg += w
-            self._ovf += int(np.maximum(seg - cap, 0).sum()) - over0
-        if r1 >= r0:
-            seg = self._row_dem[r0 : r1 + 1]
-            over0 = int(np.maximum(seg - cap, 0).sum())
-            seg += w
-            self._ovf += int(np.maximum(seg - cap, 0).sum()) - over0
-
-    def _cong_update(self, i: int) -> None:
-        """Re-derive the applied channel windows of ``i``'s incident edges."""
-        for ei in self.incident[i]:
-            old = self._ewin[ei]
-            if old is not None:
-                self._cong_apply(ei, old, -1)
-            win = self._edge_window(ei)
-            self._ewin[ei] = win
-            if win is not None:
-                self._cong_apply(ei, win, +1)
-
-    def congestion_overflow(self) -> int:
-        if not self._cong:
-            return super().congestion_overflow()
-        return self._ovf
-
-    def lowest_fit_y(self, i: int, x: int, bound: int | None = None) -> int | None:
-        t = self.tables[self.table_of[i]]
-        allowed = t.allowed_mask
-        if not allowed:
-            return None
-        bad = 0
-        cm = self.colmask
-        for c, _m, h in self.masks[i]:
-            col = cm[x + c]
-            if col:
-                bad |= dilate_down(col, h)
-        free = allowed & ~bad
-        if not free:
-            return None
-        y = (free & -free).bit_length() - 1
-        if bound is not None and y >= bound:
-            return None
-        return y
-
-    def occupancy_array(self) -> np.ndarray:
-        occ = np.zeros((self.grid.n_cols, self.grid.height_clbs), dtype=np.int16)
-        for i in range(self.n):
-            p = self.pos[i]
-            if p is None:
-                continue
-            x, y = p
-            for c, _m, h in self.masks[i]:
-                occ[x + c, y : y + h] += 1
-        return occ
-
-    # ------------------------------------------------------------ cost
-
-    def incident_cost(self, i: int) -> float:
-        pos = self.pos
-        if pos[i] is None:
-            return 0.0
-        cx = self.cx
-        cy = self.cy
-        xi = cx[i]
-        yi = cy[i]
-        total = 0.0
-        for o, w in self.nbrs[i]:
-            if pos[o] is not None:
-                total += w * (abs(xi - cx[o]) + abs(yi - cy[o]))
-        return total
-
-    def _edge_lengths(self, weights: np.ndarray) -> float:
-        """``sum_e weights_e * (|dx| + |dy|)`` over placed-placed edges."""
-        if self.ea.size == 0:
-            return 0.0
-        placed = np.fromiter(
-            (p is not None for p in self.pos), dtype=bool, count=self.n
-        )
-        cx = np.array(self.cx)
-        cy = np.array(self.cy)
-        ea, eb = self.ea, self.eb
-        both = placed[ea] & placed[eb]
-        dx = np.abs(cx[ea] - cx[eb])
-        dy = np.abs(cy[ea] - cy[eb])
-        return float(np.sum(np.where(both, weights * (dx + dy), 0.0)))
-
-    def wirelength(self) -> float:
-        return self._edge_lengths(self.ew)
-
-    def timing_cost(self) -> float:
-        # Vectorized peer of the base-class loop; dyadic weights make
-        # the different summation order bitwise-irrelevant.
-        if self._twa is None:
-            return 0.0
-        return self._edge_lengths(self._twa)
-
-    # ------------------------------------------------------------ move loop
-
-    def run_moves(
-        self,
-        swappable: Sequence[Sequence[int]],
-        placed_list: list[int],
-        unplaced_list: list[int],
-        steps: int,
-        temp: float,
-        p_place: float,
-        p_swap: float,
-        u: UniformBuffer,
-        cost: float,
-        best: float,
-    ) -> tuple[float, float, list[tuple[int, float]]]:
-        """:meth:`PlacementKernel.run_moves` as one fused loop.
-
-        The same draws in the same order, the same float sums and the
-        same counters as the per-primitive loop, without a method call
-        per primitive: draws are read straight from the stream's
+        The loop is fused: draws are read straight from the stream's
         upcoming values, a relocation prices its old and new center in
         one pass over the neighbor list, a relocation whose old and new
         column spans are disjoint probes legality without painting the
         block out and back, and a rejected move writes no state.  With
         the congestion term on, trial positions go through
         :meth:`set_pos` so the incremental overflow prices them.
+
+        ``placed_list`` / ``unplaced_list`` are mutated in place
+        (membership changes on successful place moves).  Returns
+        ``(cost, best, events)`` where ``events`` lists every new best as
+        a 1-based ``(op_offset, cost)`` pair within the batch.
         """
         pos = self.pos
         cx = self.cx
@@ -862,7 +562,7 @@ class FastKernel(PlacementKernel):
                 nb = len(buf)
             r = buf[bi]
             if unplaced_list and r < p_place:
-                # ---------------------------------------- place (try_place)
+                # ------------------------------------------------- place
                 nl = len(unplaced_list)
                 k = int(buf[bi + 1] * nl)
                 bi += 2
@@ -900,7 +600,7 @@ class FastKernel(PlacementKernel):
                             placed_list.append(i)
                             break
             elif swappable and r < p_either:
-                # ------------------------------------------ swap (try_swap)
+                # -------------------------------------------------- swap
                 ns = len(swappable)
                 k = int(buf[bi + 1] * ns)
                 g = swappable[ns - 1 if k >= ns else k]
@@ -976,7 +676,7 @@ class FastKernel(PlacementKernel):
                         self.set_pos(i, pi)
                         self.set_pos(j, pj)
             else:
-                # ------------------------------------------ move (try_move)
+                # ------------------------------------------- move (relocate)
                 if not placed_list:
                     bi += 1
                     continue
@@ -1063,30 +763,3 @@ class FastKernel(PlacementKernel):
 #: Most uniform draws one move-loop operation takes: a place move reads
 #: the move choice, the instance and 8 (column, row) site samples.
 _MAX_DRAWS_PER_OP = 2 + 8 * 2
-
-_KERNELS: dict[str, type[PlacementKernel]] = {
-    "fast": FastKernel,
-    "reference": ReferenceKernel,
-}
-
-
-def make_kernel(
-    kernel: str,
-    grid: DeviceGrid,
-    names: list[str],
-    footprints: list[Footprint],
-    edges: list[tuple[int, int, int]],
-    unplaced_weight: float,
-    route: RouteCostModel | None = None,
-) -> PlacementKernel:
-    """Instantiate a move kernel by name (``"fast"`` or ``"reference"``).
-
-    ``route`` enables the optional congestion/timing cost terms
-    (:mod:`repro.place_kernel.route_cost`); ``None`` keeps the pure
-    HPWL objective and the historical code paths byte-identical.
-    """
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    return _KERNELS[kernel](
-        grid, names, footprints, edges, unplaced_weight, route
-    )

@@ -2,7 +2,7 @@
 
 ``PlacementProblem.from_design`` flattens a
 :class:`~repro.flow.blockdesign.BlockDesign` plus per-module footprints
-into the index-based arrays the move kernels consume: instance names,
+into the index-based arrays the move kernel consumes: instance names,
 trimmed footprints, integer edge triples and same-module swap groups.
 Building it once and handing it to any optimizer guarantees the SA
 stitcher and the GA evolver score the *same* problem — same footprint
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.device.grid import DeviceGrid
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import PlacementKernel, make_kernel
+from repro.place_kernel.kernel import PlacementKernel
 from repro.place_kernel.route_cost import RouteCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a flow cycle
@@ -98,7 +98,6 @@ class PlacementProblem:
 
     def make_kernel(
         self,
-        kernel: str,
         unplaced_weight: float,
         route: RouteCostModel | None = None,
     ) -> PlacementKernel:
@@ -108,8 +107,7 @@ class PlacementProblem:
         (see :func:`repro.place_kernel.route_cost.build_route_model`);
         ``None`` keeps the pure HPWL objective.
         """
-        return make_kernel(
-            kernel,
+        return PlacementKernel(
             self.grid,
             list(self.names),
             list(self.footprints),

@@ -119,7 +119,6 @@ class StitchStats:
     and names them in ``phase_names``.
     """
 
-    kernel: str
     seed: int
     setup_s: float
     initial_s: float

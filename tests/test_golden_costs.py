@@ -3,7 +3,8 @@
 The SA goldens were captured on the pre-refactor stitcher (before the
 cost model moved into :mod:`repro.place_kernel`); pinning them proves
 the extraction is bitwise-neutral — same placements, costs and
-convergence for a fixed seed, on both kernels.  The GA goldens pin the
+convergence for a fixed seed, on both the library's kernel and the
+reference kernel of ``tests/kernel_reference.py``.  The GA goldens pin the
 evolver's deterministic contract the same way.  Any change to the
 kernel's geometry, cost accounting or RNG consumption order shows up
 here first, as an exact-equality failure rather than a silent drift.
@@ -18,6 +19,7 @@ from repro.flow.stitcher import SAParams, stitch
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_reference import KERNELS, kernel_context
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -61,12 +63,12 @@ def _mixed_design(n: int) -> tuple[BlockDesign, dict[str, Footprint]]:
 
 
 @pytest.mark.parametrize("seed", sorted(_SA_GOLDEN))
-@pytest.mark.parametrize("kernel", ["fast", "reference"])
+@pytest.mark.parametrize("kernel", KERNELS)
 class TestSAGoldens:
     def test_sa_matches_pre_refactor_golden(self, z020, seed, kernel):
         d, fps = _mixed_design(12)
-        res = stitch(d, fps, z020, SAParams(max_iters=3000, seed=seed),
-                     kernel=kernel)
+        with kernel_context(kernel):
+            res = stitch(d, fps, z020, SAParams(max_iters=3000, seed=seed))
         g = _SA_GOLDEN[seed]
         assert res.final_cost == g["final_cost"]
         assert res.wirelength == g["wirelength"]
@@ -75,12 +77,12 @@ class TestSAGoldens:
 
 
 @pytest.mark.parametrize("seed", sorted(_GA_GOLDEN))
-@pytest.mark.parametrize("kernel", ["fast", "reference"])
+@pytest.mark.parametrize("kernel", KERNELS)
 class TestGAGoldens:
     def test_ga_matches_golden(self, z020, seed, kernel):
         d, fps = _mixed_design(12)
-        res = evolve(d, fps, z020, GAParams(move_budget=3000, seed=seed),
-                     kernel=kernel)
+        with kernel_context(kernel):
+            res = evolve(d, fps, z020, GAParams(move_budget=3000, seed=seed))
         g = _GA_GOLDEN[seed]
         assert res.final_cost == g["final_cost"]
         assert res.wirelength == g["wirelength"]

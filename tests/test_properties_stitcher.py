@@ -1,7 +1,8 @@
 """Property-based tests for the stitcher (hypothesis).
 
-Every invariant runs against both move kernels (``fast`` and
-``reference``), so the vectorized data structures are held to the same
+Every invariant runs against both the library's move kernel (``fast``)
+and the reference kernel of ``tests/kernel_reference.py``
+(``reference``), so the bitmask data structures are held to the same
 geometric contract as the straightforward implementation.
 """
 
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 from repro.device.column import ColumnKind
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.stitcher import KERNELS, SAParams, stitch
+from repro.flow.stitcher import SAParams, stitch
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_reference import KERNELS, kernel_context, reference_kernel
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -69,7 +71,8 @@ class TestStitcherInvariants:
     @settings(max_examples=25, deadline=None)
     def test_no_overlap_ever(self, kernel, fp_specs, seed):
         d, fps = _build(fp_specs)
-        res = stitch(d, fps, _GRID, SAParams(max_iters=800, seed=seed), kernel=kernel)
+        with kernel_context(kernel):
+            res = stitch(d, fps, _GRID, SAParams(max_iters=800, seed=seed))
         assert res.occupancy.max() <= 1
 
     @_kernels
@@ -78,7 +81,8 @@ class TestStitcherInvariants:
     def test_occupancy_equals_painted_footprints(self, kernel, fp_specs, seed):
         """The occupancy grid is exactly the sum of the placed skylines."""
         d, fps = _build(fp_specs)
-        res = stitch(d, fps, _GRID, SAParams(max_iters=800, seed=seed), kernel=kernel)
+        with kernel_context(kernel):
+            res = stitch(d, fps, _GRID, SAParams(max_iters=800, seed=seed))
         expected = np.zeros((_GRID.n_cols, _GRID.height_clbs), dtype=np.int16)
         for k in range(len(d.instances)):
             pos = res.placements[f"i{k}"]
@@ -96,7 +100,8 @@ class TestStitcherInvariants:
     def test_placements_pattern_compatible(self, kernel, fp_specs, seed):
         """Anchors sit on matching column kinds, in bounds, pitch-aligned."""
         d, fps = _build(fp_specs)
-        res = stitch(d, fps, _GRID, SAParams(max_iters=800, seed=seed), kernel=kernel)
+        with kernel_context(kernel):
+            res = stitch(d, fps, _GRID, SAParams(max_iters=800, seed=seed))
         all_kinds = _GRID.kinds()
         for k in range(len(d.instances)):
             pos = res.placements[f"i{k}"]
@@ -116,7 +121,8 @@ class TestStitcherInvariants:
         """``final_cost == wirelength + unplaced_weight * unplaced_area``."""
         d, fps = _build(fp_specs)
         params = SAParams(max_iters=800, seed=seed)
-        res = stitch(d, fps, _GRID, params, kernel=kernel)
+        with kernel_context(kernel):
+            res = stitch(d, fps, _GRID, params)
         unplaced_area = sum(
             fps[d.instances[k].module].occupied_clbs
             for k in range(len(d.instances))
@@ -129,8 +135,10 @@ class TestStitcherInvariants:
     @settings(max_examples=15, deadline=None)
     def test_deterministic_across_runs(self, kernel, fp_specs):
         d, fps = _build(fp_specs)
-        a = stitch(d, fps, _GRID, SAParams(max_iters=500, seed=7), kernel=kernel)
-        b = stitch(d, fps, _GRID, SAParams(max_iters=500, seed=7), kernel=kernel)
+        with kernel_context(kernel):
+            a = stitch(d, fps, _GRID, SAParams(max_iters=500, seed=7))
+        with kernel_context(kernel):
+            b = stitch(d, fps, _GRID, SAParams(max_iters=500, seed=7))
         assert a.placements == b.placements
 
     @given(_footprints, st.integers(0, 3))
@@ -139,8 +147,9 @@ class TestStitcherInvariants:
         """Random designs: both kernels produce the identical result."""
         d, fps = _build(fp_specs)
         params = SAParams(max_iters=600, seed=seed)
-        fast = stitch(d, fps, _GRID, params, kernel="fast")
-        ref = stitch(d, fps, _GRID, params, kernel="reference")
+        fast = stitch(d, fps, _GRID, params)
+        with reference_kernel():
+            ref = stitch(d, fps, _GRID, params)
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.history == ref.history

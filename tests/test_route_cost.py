@@ -2,11 +2,11 @@
 
 The contract under test (see :mod:`repro.place_kernel.route_cost`):
 
-* the fast kernel's incremental channel-demand/overflow state equals a
+* the kernel's incremental channel-demand/overflow state equals a
   from-scratch recompute after *any* program of moves, swaps, clears and
   restores — bitwise, not approximately;
-* the fast and reference kernels agree bitwise on every cost term with
-  the route model enabled;
+* the kernel and the reference kernel of ``tests/kernel_reference.py``
+  agree bitwise on every cost term with the route model enabled;
 * both weights at 0.0 disable the model entirely (``build_route_model``
   returns ``None``) and the stitcher's results stay byte-identical to
   the pure-HPWL path.
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.device.column import ColumnKind
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.stitcher import KERNELS, SAParams, stitch
+from repro.flow.stitcher import SAParams, stitch
 from repro.place.shapes import Footprint
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.route_cost import (
@@ -33,6 +33,15 @@ from repro.place_kernel.route_cost import (
 from repro.place_kernel.uniform import UniformBuffer
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_reference import (
+    KERNELS,
+    build_kernel,
+    kernel_context,
+    reference_kernel,
+    scratch_congestion,
+    try_place,
+    try_swap,
+)
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -150,7 +159,7 @@ class TestBuildRouteModel:
 
 def _run_program(kernel, problem, route, ops, seed):
     """Drive one kernel through a deterministic op program."""
-    k = problem.make_kernel(kernel, 1.0, route)
+    k = build_kernel(kernel, problem, 1.0, route)
     u = UniformBuffer(np.random.default_rng(seed), 128)
     k.greedy_initial()
     for kind, a, b in ops:
@@ -159,9 +168,9 @@ def _run_program(kernel, problem, route, ops, seed):
         if kind == 0 and k.pos[i] is not None:
             k.try_move(i, 0.5, u)
         elif kind == 1 and k.pos[i] is None:
-            k.try_place(i, u)
+            try_place(k, i, u)
         elif kind == 2 and i != j and k.pos[i] is not None and k.pos[j] is not None:
-            k.try_swap(i, j, 0.5, u)
+            try_swap(k, i, j, 0.5, u)
         elif kind == 3:
             snap = list(k.pos)
             k.clear()
@@ -179,8 +188,8 @@ class TestIncrementalCongestion:
     @given(_ops, st.integers(0, 3))
     @settings(max_examples=20, deadline=None)
     def test_incremental_equals_scratch(self, ops, seed):
-        """The fast kernel's O(deg) demand updates are bitwise-equal to
-        the from-scratch reference recompute after any op program."""
+        """The kernel's O(deg) demand updates are bitwise-equal to the
+        from-scratch reference recompute after any op program."""
         problem = _problem(6, feedback=True)
         # capacity=4 < the widths, so overflow is actually exercised.
         route = build_route_model(
@@ -191,7 +200,7 @@ class TestIncrementalCongestion:
             capacity=4,
         )
         k = _run_program("fast", problem, route, ops, seed)
-        col, row, over = k._scratch_congestion()
+        col, row, over = scratch_congestion(k)
         assert k._ovf == over
         assert np.array_equal(k._col_dem, col)
         assert np.array_equal(k._row_dem, row)
@@ -218,7 +227,7 @@ class TestIncrementalCongestion:
     def test_clear_zeroes_demand(self):
         problem = _problem(5)
         route = build_route_model(problem, congestion_weight=1.0, capacity=4)
-        k = problem.make_kernel("fast", 1.0, route)
+        k = problem.make_kernel(1.0, route)
         k.greedy_initial()
         assert k._ovf > 0  # tight capacity: the packed chain overflows
         k.clear()
@@ -229,7 +238,7 @@ class TestIncrementalCongestion:
     def test_restore_reconstructs_demand(self):
         problem = _problem(5)
         route = build_route_model(problem, congestion_weight=1.0, capacity=4)
-        k = problem.make_kernel("fast", 1.0, route)
+        k = problem.make_kernel(1.0, route)
         k.greedy_initial()
         snap = list(k.pos)
         before = (k._ovf, k._col_dem.copy(), k._row_dem.copy())
@@ -245,17 +254,17 @@ class TestStitcherIntegration:
     def test_zero_weights_byte_identical(self, kernel):
         """weights == 0.0 must not perturb the historical SA path."""
         d, fps = _chain(8)
-        base = stitch(d, fps, _GRID, SAParams(max_iters=2000, seed=3), kernel=kernel)
-        routed = stitch(
-            d,
-            fps,
-            _GRID,
-            SAParams(
-                max_iters=2000, seed=3, congestion_weight=0.0, timing_weight=0.0
-            ),
-            kernel=kernel,
-            module_delays={"m": 2.0},
-        )
+        with kernel_context(kernel):
+            base = stitch(d, fps, _GRID, SAParams(max_iters=2000, seed=3))
+            routed = stitch(
+                d,
+                fps,
+                _GRID,
+                SAParams(
+                    max_iters=2000, seed=3, congestion_weight=0.0, timing_weight=0.0
+                ),
+                module_delays={"m": 2.0},
+            )
         assert routed.placements == base.placements
         assert routed.final_cost == base.final_cost
         assert routed.history == base.history
@@ -268,9 +277,8 @@ class TestStitcherIntegration:
         params = SAParams(
             max_iters=2000, seed=1, congestion_weight=0.25, timing_weight=0.5
         )
-        res = stitch(
-            d, fps, _GRID, params, kernel=kernel, module_delays={"m": 2.0}
-        )
+        with kernel_context(kernel):
+            res = stitch(d, fps, _GRID, params, module_delays={"m": 2.0})
         unplaced_area = sum(
             fps[d.instances[k].module].occupied_clbs
             for k in range(len(d.instances))
@@ -288,10 +296,9 @@ class TestStitcherIntegration:
         params = SAParams(
             max_iters=2000, seed=5, congestion_weight=0.25, timing_weight=0.5
         )
-        fast = stitch(d, fps, _GRID, params, kernel="fast",
-                      module_delays={"m": 2.0})
-        ref = stitch(d, fps, _GRID, params, kernel="reference",
-                     module_delays={"m": 2.0})
+        fast = stitch(d, fps, _GRID, params, module_delays={"m": 2.0})
+        with reference_kernel():
+            ref = stitch(d, fps, _GRID, params, module_delays={"m": 2.0})
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.congestion_cost == ref.congestion_cost

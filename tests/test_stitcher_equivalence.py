@@ -1,14 +1,16 @@
-"""Fast-vs-reference kernel equivalence.
+"""Kernel-vs-reference equivalence.
 
-The fast kernel must be a drop-in replacement: for a fixed seed it
-produces bitwise-identical placements, costs and history on designs of
-several sizes.  This holds exactly (not approximately) because both
-kernels share the driver's batched random stream and, with integer edge
-widths, every HPWL term is a dyadic rational that float64 evaluates
-exactly in any summation order.
+The library's move kernel must behave exactly like the straightforward
+oracle in ``tests/kernel_reference.py``: for a fixed seed it produces
+bitwise-identical placements, costs and history on designs of several
+sizes.  This holds exactly (not approximately) because both kernels
+share the driver's batched random stream and, with integer edge widths,
+every HPWL term is a dyadic rational that float64 evaluates exactly in
+any summation order.
 """
 
 import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.place.shapes import Footprint
 from repro.place_kernel.uniform import UniformBuffer
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_reference import reference_kernel
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -131,19 +134,17 @@ def _mixed_design(n_instances: int) -> tuple[BlockDesign, dict[str, Footprint]]:
 #: refills land mid-move), both route-aware cost terms, and the GA, whose
 #: repair phase runs the move loop at temperature 0.
 _VARIANTS = {
-    "steps7": lambda d, fps, grid, seed, kernel: stitch(
+    "steps7": lambda d, fps, grid, seed: stitch(
         d, fps, grid, SAParams(max_iters=1500, steps_per_temp=7, seed=seed),
-        kernel=kernel,
     ),
-    "route": lambda d, fps, grid, seed, kernel: stitch(
+    "route": lambda d, fps, grid, seed: stitch(
         d, fps, grid,
         SAParams(
             max_iters=1500, seed=seed, congestion_weight=0.5, timing_weight=0.25
         ),
-        kernel=kernel,
     ),
-    "evolve": lambda d, fps, grid, seed, kernel: evolve(
-        d, fps, grid, GAParams(move_budget=1500, seed=seed), kernel=kernel
+    "evolve": lambda d, fps, grid, seed: evolve(
+        d, fps, grid, GAParams(move_budget=1500, seed=seed)
     ),
 }
 
@@ -166,8 +167,9 @@ def buffers(monkeypatch) -> list[UniformBuffer]:
 
 def _assert_variant_agrees(variant, d, fps, grid, seed, buffers) -> None:
     """Both kernels give the same result and leave the stream in one place."""
-    fast = _VARIANTS[variant](d, fps, grid, seed, "fast")
-    ref = _VARIANTS[variant](d, fps, grid, seed, "reference")
+    fast = _VARIANTS[variant](d, fps, grid, seed)
+    with reference_kernel():
+        ref = _VARIANTS[variant](d, fps, grid, seed)
     assert fast == ref
     assert fast.history == ref.history
     assert fast.congestion_cost == ref.congestion_cost
@@ -194,8 +196,9 @@ class TestKernelEquivalence:
     def test_identical_results(self, z020, n_instances, seed):
         d, fps = _mixed_design(n_instances)
         params = SAParams(max_iters=3000, seed=seed)
-        fast = stitch(d, fps, z020, params, kernel="fast")
-        ref = stitch(d, fps, z020, params, kernel="reference")
+        fast = stitch(d, fps, z020, params)
+        with reference_kernel():
+            ref = stitch(d, fps, z020, params)
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.wirelength == ref.wirelength
@@ -211,9 +214,10 @@ class TestKernelEquivalence:
         """Move/accept counters are part of the shared driver contract."""
         d, fps = _mixed_design(n_instances)
         params = SAParams(max_iters=1500, seed=seed)
-        fast = stitch(d, fps, z020, params, kernel="fast").stats
-        ref = stitch(d, fps, z020, params, kernel="reference").stats
-        assert fast.kernel == "fast" and ref.kernel == "reference"
+        fast = stitch(d, fps, z020, params).stats
+        with reference_kernel() as built:
+            ref = stitch(d, fps, z020, params).stats
+        assert len(built) == 1
         for name in (
             "move_attempts",
             "place_attempts",
@@ -248,8 +252,9 @@ class TestGridShapeEquivalence:
     def test_identical_results(self, case, seed):
         grid, d, fps = _grid_case(case)
         params = SAParams(max_iters=2000, seed=seed)
-        fast = stitch(d, fps, grid, params, kernel="fast")
-        ref = stitch(d, fps, grid, params, kernel="reference")
+        fast = stitch(d, fps, grid, params)
+        with reference_kernel():
+            ref = stitch(d, fps, grid, params)
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.wirelength == ref.wirelength
@@ -280,9 +285,33 @@ class TestGridShapeEquivalence:
 
 class TestKernelSelection:
     def test_unknown_kernel_rejected(self, z020):
+        """``"fast"`` is the only kernel; the reference is a test fixture."""
         d, fps = _mixed_design(2)
-        with pytest.raises(ValueError, match="unknown kernel"):
-            stitch(d, fps, z020, SAParams(max_iters=100), kernel="turbo")
+        for kernel in ("turbo", "reference"):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                stitch(d, fps, z020, SAParams(max_iters=100), kernel=kernel)
+
+    def test_only_stitch_takes_a_kernel(self):
+        """No other entry point selects a kernel, and the package exports
+        no kernel registry: the reference lives in the test suite."""
+        import repro.place_kernel as pk
+        from repro.dse.explorer import DSEExplorer
+        from repro.flow.placers import (
+            GAPlacer,
+            SAPlacer,
+            WarmStartedSAPlacer,
+            default_portfolio,
+        )
+        from repro.flow.prflow import refloorplan
+        from repro.place_kernel import PlacementProblem
+
+        for fn in (evolve, SAPlacer, GAPlacer, WarmStartedSAPlacer,
+                   default_portfolio, refloorplan, DSEExplorer,
+                   PlacementProblem.make_kernel):
+            assert "kernel" not in inspect.signature(fn).parameters, fn
+        assert inspect.signature(stitch).parameters["kernel"].default == "fast"
+        for name in ("KERNELS", "make_kernel", "FastKernel", "ReferenceKernel"):
+            assert not hasattr(pk, name), name
 
     def test_crowded_device_equivalence(self, tiny_grid):
         """Equivalence holds when most moves are illegal (full device)."""
@@ -294,8 +323,9 @@ class TestKernelSelection:
         for i in range(7):
             d.connect(f"i{i}", f"i{i + 1}", width=2)
         params = SAParams(max_iters=2000, seed=1)
-        fast = stitch(d, fps, tiny_grid, params, kernel="fast")
-        ref = stitch(d, fps, tiny_grid, params, kernel="reference")
+        fast = stitch(d, fps, tiny_grid, params)
+        with reference_kernel():
+            ref = stitch(d, fps, tiny_grid, params)
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.history == ref.history

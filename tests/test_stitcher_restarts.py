@@ -10,15 +10,15 @@ from repro.flow.stitcher import SAParams, stitch
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_reference import reference_kernel
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
 
 
-def sa_best(design, footprints, grid, params=None, *, kernel="fast",
-                **kwargs):
+def sa_best(design, footprints, grid, params=None, **kwargs):
     """``best_of`` over the SA placer, the shape these tests pin."""
-    placer = SAPlacer(params or SAParams(), kernel=kernel)
+    placer = SAPlacer(params or SAParams())
     return best_of(placer, design, footprints, grid, **kwargs)
 
 
@@ -76,12 +76,15 @@ class TestStitchBest:
         assert best.stats.seed in (7, 8, 9)
 
     def test_kernel_forwarded(self, chain, z020):
+        """Every serial restart builds its kernel at the shared seam, so
+        the reference kernel reaches each seed and picks the same winner."""
         d, fps = chain
         params = SAParams(max_iters=800, seed=0)
-        fast = sa_best(d, fps, z020, params, n_seeds=2, kernel="fast")
-        ref = sa_best(d, fps, z020, params, n_seeds=2, kernel="reference")
-        assert fast.stats.kernel == "fast"
-        assert ref.stats.kernel == "reference"
+        fast = sa_best(d, fps, z020, params, n_seeds=2)
+        with reference_kernel() as built:
+            ref = sa_best(d, fps, z020, params, n_seeds=2)
+        assert len(built) == 2
+        assert fast.stats.seed == ref.stats.seed
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
 
@@ -142,7 +145,7 @@ class TestParetoWinner:
         from repro.flow.stitcher import StitchResult, StitchStats
 
         stats = StitchStats(
-            kernel="fast", seed=seed, setup_s=0.0, initial_s=0.0,
+            seed=seed, setup_s=0.0, initial_s=0.0,
             anneal_s=0.0, fill_s=0.0, move_attempts=0, place_attempts=0,
             swap_attempts=0, move_accepts=0, place_accepts=0,
             swap_accepts=0, illegal_moves=0,
@@ -161,7 +164,7 @@ class TestParetoWinner:
             1: self._fake_result(1, n_unplaced=0, cost=100.0),
         }
 
-        def fake_stitch(design, footprints, grid, params, *, kernel="fast",
+        def fake_stitch(design, footprints, grid, params, *,
                         initial_placements=None, module_delays=None,
                         tracer=None):
             return results[params.seed]
@@ -182,7 +185,7 @@ class TestParetoWinner:
             2: self._fake_result(2, n_unplaced=0, cost=70.0),
         }
 
-        def fake_stitch(design, footprints, grid, params, *, kernel="fast",
+        def fake_stitch(design, footprints, grid, params, *,
                         initial_placements=None, module_delays=None,
                         tracer=None):
             return results[params.seed]
@@ -199,7 +202,7 @@ class TestParetoWinner:
             4: self._fake_result(4, n_unplaced=0, cost=75.0),
         }
 
-        def fake_stitch(design, footprints, grid, params, *, kernel="fast",
+        def fake_stitch(design, footprints, grid, params, *,
                         initial_placements=None, module_delays=None,
                         tracer=None):
             return results[params.seed]
