@@ -14,7 +14,9 @@ everything that determines the sweep —
 * the CF sweep parameters (start / step / max_cf, adaptive resolution,
   trivial-module filtering), and
 * the placer-noise amplitude in effect (the noise ablation regenerates
-  under an override, which must never collide with the default sweep).
+  under an override, which must never collide with the default sweep),
+  and
+* the model sources (:func:`~repro.flow.cache.model_digest`).
 
 Entries live in an in-memory dict with an optional disk layer underneath
 (one pickle file per key inside ``cache_dir``, written atomically), so a
@@ -26,36 +28,16 @@ crash generation.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.device.grid import DeviceGrid
-from repro.flow.cache import CacheStats, grid_fingerprint
+from repro.flow.cache import TwoLayerStore, _digest, grid_fingerprint, model_digest
 
 if TYPE_CHECKING:  # circular: generate imports the cache for its store
     from repro.dataset.generate import GenerationReport
     from repro.features.registry import ModuleRecord
 
 __all__ = ["DatasetCache", "dataset_key"]
-
-#: Bump when the on-disk entry layout (or ModuleRecord shape) changes;
-#: part of every key, so old stores read as cold instead of corrupt.
-DATASET_CACHE_FORMAT = 1
-
-#: A cached dataset: the labeled records plus their generation report.
-DatasetEntry = tuple  # (list[ModuleRecord], GenerationReport)
-
-
-def _digest(*parts: object) -> str:
-    """SHA-256 over ``repr`` of the parts (stable across processes)."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(repr(part).encode("utf-8"))
-        h.update(b"\x1f")
-    return h.hexdigest()
 
 
 def dataset_key(
@@ -73,7 +55,7 @@ def dataset_key(
     """The content-addressed key of one generation configuration."""
     return _digest(
         "dataset",
-        DATASET_CACHE_FORMAT,
+        model_digest(),
         n_modules,
         seed,
         grid_fingerprint(grid),
@@ -86,59 +68,20 @@ def dataset_key(
     )
 
 
-class DatasetCache:
-    """Two-layer (memory + optional disk) store of generated datasets.
-
-    Parameters
-    ----------
-    cache_dir:
-        Directory for the persistent layer; ``None`` keeps the cache
-        purely in-memory.  Each entry is one ``<key>.pkl`` file written
-        atomically (temp file + rename), so concurrent generations
-        sharing a directory never observe torn entries.
+class DatasetCache(TwoLayerStore):
+    """Two-layer (memory + optional disk) store of generated datasets,
+    keyed by :func:`dataset_key` (see
+    :class:`~repro.flow.cache.TwoLayerStore`).  An entry is the
+    ``(records, report)`` pair; a disk entry of any other shape is a
+    miss.
     """
 
-    def __init__(self, cache_dir: str | os.PathLike | None = None) -> None:
-        self._mem: dict[str, "DatasetEntry"] = {}
-        self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
-        self.stats = CacheStats()
-
-    # ------------------------------------------------------------------ keys
+    label = "dataset-cache"
 
     key = staticmethod(dataset_key)
 
-    # ------------------------------------------------------------------ store
-
-    def _path(self, key: str) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{key}.pkl"
-
-    def get(self, key: str) -> "tuple[list[ModuleRecord], GenerationReport] | None":
-        """Look a key up: memory first, then disk.  ``None`` on miss."""
-        entry = self._mem.get(key)
-        if entry is not None:
-            self.stats.mem_hits += 1
-            return entry
-        if self.cache_dir is not None:
-            path = self._path(key)
-            try:
-                with open(path, "rb") as fh:
-                    entry = pickle.load(fh)
-                if not (isinstance(entry, tuple) and len(entry) == 2):
-                    raise pickle.UnpicklingError("bad dataset entry shape")
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                    ImportError, IndexError, TypeError):
-                entry = None
-                try:  # corrupt entry: drop it so the next run regenerates
-                    path.unlink(missing_ok=True)
-                except OSError:
-                    pass
-            if entry is not None:
-                self._mem[key] = entry
-                self.stats.disk_hits += 1
-                return entry
-        self.stats.misses += 1
-        return None
+    def _valid(self, entry: object) -> bool:
+        return isinstance(entry, tuple) and len(entry) == 2
 
     def put(
         self,
@@ -147,56 +90,4 @@ class DatasetCache:
         report: "GenerationReport",
     ) -> None:
         """Store an entry in memory and (when configured) on disk."""
-        entry = (list(records), report)
-        self._mem[key] = entry
-        self.stats.stores += 1
-        if self.cache_dir is None:
-            return
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            path = self._path(key)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with open(tmp, "wb") as fh:
-                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except OSError:
-            # Read-only or full filesystem: keep the in-memory layer only.
-            pass
-
-    # ------------------------------------------------------------------ admin
-
-    def __len__(self) -> int:
-        return len(self._mem)
-
-    def __contains__(self, key: str) -> bool:
-        if key in self._mem:
-            return True
-        return self.cache_dir is not None and self._path(key).exists()
-
-    @property
-    def n_disk_entries(self) -> int:
-        """Entries currently persisted on disk (0 for in-memory caches)."""
-        if self.cache_dir is None or not self.cache_dir.is_dir():
-            return 0
-        return sum(1 for _ in self.cache_dir.glob("*.pkl"))  # repro: noqa[DET005] order-free count of entries
-
-    def clear(self, *, disk: bool = False) -> None:
-        """Drop the in-memory layer; also the disk layer when ``disk``."""
-        self._mem.clear()
-        if disk and self.cache_dir is not None and self.cache_dir.is_dir():
-            for path in self.cache_dir.glob("*.pkl"):  # repro: noqa[DET005] unconditional delete of every entry; order is irrelevant
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
-    def describe(self) -> str:
-        """One-line summary for logs and the CLI."""
-        where = str(self.cache_dir) if self.cache_dir else "<memory>"
-        s = self.stats
-        return (
-            f"dataset-cache[{where}]: {len(self._mem)} in memory, "
-            f"{self.n_disk_entries} on disk; "
-            f"{s.hits} hits ({s.mem_hits} mem / {s.disk_hits} disk), "
-            f"{s.misses} misses"
-        )
+        self._put(key, (list(records), report))

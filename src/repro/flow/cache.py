@@ -15,20 +15,23 @@ Entries live in an in-memory dict with an optional disk layer underneath
 (one pickle file per key inside ``cache_dir``), so a second flow run — or
 a DSE session started tomorrow — warm-starts with zero tool runs for
 unchanged modules.  Keys are SHA-256 hex digests; any change to a
-module, policy or grid produces a different key, so stale entries can
-never be served.
+module, policy or grid — or to the model sources that implement it
+(:func:`model_digest`) — produces a different key, so stale entries can
+never be served.  :class:`TwoLayerStore` is the store itself, shared
+with :class:`~repro.dataset.cache.DatasetCache`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.device.grid import DeviceGrid
 from repro.rtlgen.base import RTLModule
@@ -38,17 +41,54 @@ if TYPE_CHECKING:  # avoid a cycle: preimpl imports cache for its store
     from repro.flow.preimpl import ImplementedModule
 
 __all__ = [
+    "MODEL_SOURCES",
     "CacheStats",
     "ModuleCache",
+    "TwoLayerStore",
     "cache_key",
     "grid_fingerprint",
+    "model_digest",
     "module_fingerprint",
     "policy_fingerprint",
 ]
 
-#: Bump when the on-disk entry layout changes; part of every key, so old
-#: stores are silently treated as cold instead of mis-deserialized.
-CACHE_FORMAT = 1
+#: The model the cached entries were computed by: these packages and
+#: modules (relative to ``src/repro``) decide what a module implements to
+#: and how a sweep labels, or define the pickled entry types.
+MODEL_SOURCES = (
+    "rtlgen",
+    "synth",
+    "netlist",
+    "device",
+    "pblock",
+    "place",
+    "features",
+    "flow/policy.py",
+    "flow/preimpl.py",
+    "route/timing.py",
+    "dataset/generate.py",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def model_digest() -> str:
+    """SHA-256 over the :data:`MODEL_SOURCES` files, read once per process.
+
+    Part of every :class:`ModuleCache` and
+    :class:`~repro.dataset.cache.DatasetCache` key, so an edit to the
+    model turns every stored entry into a miss instead of a stale hit.
+    """
+    root = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for name in MODEL_SOURCES:
+        entry = root / name
+        files = sorted(entry.rglob("*.py")) if entry.is_dir() else [entry]
+        for path in files:
+            h.update(path.relative_to(root).as_posix().encode("utf-8"))
+            h.update(b"\x1f")
+            h.update(path.read_bytes())
+            h.update(b"\x1f")
+    return h.hexdigest()
 
 
 def _digest(*parts: object) -> str:
@@ -115,7 +155,7 @@ def cache_key(module: RTLModule, grid: DeviceGrid, policy: "CFPolicy") -> str:
     """The content-addressed key of one (module, grid, policy) triple."""
     return _digest(
         "preimpl",
-        CACHE_FORMAT,
+        model_digest(),
         module_fingerprint(module),
         grid_fingerprint(grid),
         policy_fingerprint(policy),
@@ -156,71 +196,75 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-class ModuleCache:
-    """Two-layer (memory + optional disk) store of implemented modules.
+class TwoLayerStore:
+    """Memory dict over an optional directory of pickled entries.
+
+    The store under :class:`ModuleCache` and
+    :class:`~repro.dataset.cache.DatasetCache`; each adds its key
+    function on top.
 
     Parameters
     ----------
     cache_dir:
-        Directory for the persistent layer; ``None`` keeps the cache
+        Directory for the persistent layer; ``None`` keeps the store
         purely in-memory.  The directory is created on first use, and
         each entry is one ``<key>.pkl`` file written atomically
-        (temp file + rename), so concurrent flows sharing a directory
+        (temp file + rename), so concurrent runs sharing a directory
         never observe torn entries.
 
     Notes
     -----
-    Unreadable or corrupt disk entries are treated as misses (and
-    removed), never as errors: a cache must degrade to "cold", not crash
-    the flow.
+    Unreadable or corrupt disk entries (and entries :meth:`_valid`
+    rejects) are treated as misses and removed, never as errors: a cache
+    must degrade to "cold", not crash the run.
     """
 
+    #: Prefix of the :meth:`describe` line.
+    label = "cache"
+
     def __init__(self, cache_dir: str | os.PathLike | None = None) -> None:
-        self._mem: dict[str, "ImplementedModule"] = {}
+        self._mem: dict[str, Any] = {}
         self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
         self.stats = CacheStats()
-
-    # ------------------------------------------------------------------ keys
-
-    @staticmethod
-    def key(module: RTLModule, grid: DeviceGrid, policy: "CFPolicy") -> str:
-        """Delegates to :func:`cache_key`."""
-        return cache_key(module, grid, policy)
-
-    # ------------------------------------------------------------------ store
 
     def _path(self, key: str) -> Path:
         assert self.cache_dir is not None
         return self.cache_dir / f"{key}.pkl"
 
-    def get(self, key: str) -> "ImplementedModule | None":
+    def _valid(self, entry: Any) -> bool:
+        """Whether a loaded disk entry has the stored type's shape."""
+        return True
+
+    def get(self, key: str) -> Any:
         """Look a key up: memory first, then disk.  ``None`` on miss."""
-        impl = self._mem.get(key)
-        if impl is not None:
+        entry = self._mem.get(key)
+        if entry is not None:
             self.stats.mem_hits += 1
-            return impl
+            return entry
         if self.cache_dir is not None:
             path = self._path(key)
             try:
                 with open(path, "rb") as fh:
-                    impl = pickle.load(fh)
+                    entry = pickle.load(fh)
+                if not self._valid(entry):
+                    raise pickle.UnpicklingError("bad entry shape")
             except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                    ImportError, IndexError):
-                impl = None
-                try:  # corrupt entry: drop it so the next run re-implements
+                    ImportError, IndexError, TypeError):
+                entry = None
+                try:  # corrupt entry: drop it so the next run recomputes
                     path.unlink(missing_ok=True)
                 except OSError:
                     pass
-            if impl is not None:
-                self._mem[key] = impl
+            if entry is not None:
+                self._mem[key] = entry
                 self.stats.disk_hits += 1
-                return impl
+                return entry
         self.stats.misses += 1
         return None
 
-    def put(self, key: str, impl: "ImplementedModule") -> None:
+    def _put(self, key: str, entry: Any) -> None:
         """Store an entry in memory and (when configured) on disk."""
-        self._mem[key] = impl
+        self._mem[key] = entry
         self.stats.stores += 1
         if self.cache_dir is None:
             return
@@ -229,13 +273,11 @@ class ModuleCache:
             path = self._path(key)
             tmp = path.with_suffix(f".tmp.{os.getpid()}")
             with open(tmp, "wb") as fh:
-                pickle.dump(impl, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
         except OSError:
             # Read-only or full filesystem: keep the in-memory layer only.
             pass
-
-    # ------------------------------------------------------------------ admin
 
     def __len__(self) -> int:
         return len(self._mem)
@@ -247,7 +289,7 @@ class ModuleCache:
 
     @property
     def n_disk_entries(self) -> int:
-        """Entries currently persisted on disk (0 for in-memory caches)."""
+        """Entries currently persisted on disk (0 for in-memory stores)."""
         if self.cache_dir is None or not self.cache_dir.is_dir():
             return 0
         return sum(1 for _ in self.cache_dir.glob("*.pkl"))  # repro: noqa[DET005] order-free count of entries
@@ -267,8 +309,22 @@ class ModuleCache:
         where = str(self.cache_dir) if self.cache_dir else "<memory>"
         s = self.stats
         return (
-            f"cache[{where}]: {len(self._mem)} in memory, "
+            f"{self.label}[{where}]: {len(self._mem)} in memory, "
             f"{self.n_disk_entries} on disk; "
             f"{s.hits} hits ({s.mem_hits} mem / {s.disk_hits} disk), "
             f"{s.misses} misses"
         )
+
+
+class ModuleCache(TwoLayerStore):
+    """Two-layer (memory + optional disk) store of implemented modules,
+    keyed by :func:`cache_key` (see :class:`TwoLayerStore`)."""
+
+    @staticmethod
+    def key(module: RTLModule, grid: DeviceGrid, policy: "CFPolicy") -> str:
+        """Delegates to :func:`cache_key`."""
+        return cache_key(module, grid, policy)
+
+    def put(self, key: str, impl: "ImplementedModule") -> None:
+        """Store an entry in memory and (when configured) on disk."""
+        self._put(key, impl)
