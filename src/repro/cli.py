@@ -219,30 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="glob of paths/directories to skip (repeatable; matches "
         "whole paths and single path components, e.g. '.venv')",
     )
-    p_lint.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="enable the incremental cache: only changed files and their "
-        "call-graph dependents are re-analyzed",
-    )
-    p_lint.add_argument(
-        "--fix", action="store_true",
-        help="apply the mechanically safe autofixes (DET003, DET005, "
-        "stale suppressions)",
-    )
-    p_lint.add_argument(
-        "--diff", action="store_true",
-        help="with --fix: print the unified diff instead of writing files",
-    )
-    p_lint.add_argument(
-        "--check-clean", action="store_true",
-        help="with --fix --diff: exit non-zero when the autofixer would "
-        "change anything (the CI guard)",
-    )
-    p_lint.add_argument(
-        "--contract", default=None, metavar="PATH",
-        help="span-contract JSON to check SPAN rules against "
-        "(default: the built-in docs/span_contract.json table)",
-    )
 
     p_trace = sub.add_parser("trace", help="inspect a saved span trace")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
@@ -546,16 +522,13 @@ def _find_git_root(start: Path) -> Path | None:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import difflib
-
     from repro.lint import (
-        apply_fixes,
         lint_paths,
         render,
         render_rule_table,
         render_statistics,
+        statistics_json,
     )
-    from repro.lint.report import statistics_json
 
     if args.list_rules:
         print(render_rule_table())
@@ -564,71 +537,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     def split(s: str | None) -> list[str] | None:
         return [p.strip() for p in s.split(",") if p.strip()] if s else None
 
-    contract = None
-    if args.contract:
-        from repro.lint.dataflow import load_contract
-
-        contract = load_contract(args.contract)
-
     result = lint_paths(
         args.paths,
         select=split(args.select),
         ignore=split(args.ignore),
         exclude=args.exclude,
-        cache_dir=args.cache_dir,
-        contract=contract,
     )
-
-    if args.fix:
-        by_path: dict[str, list] = {}
-        for v in result.violations:
-            if v.fixable:
-                by_path.setdefault(v.path, []).append(v)
-        changed = 0
-        fixed = 0
-        for path in sorted(by_path):
-            try:
-                original = Path(path).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
-                continue
-            outcome = apply_fixes(original, by_path[path])
-            if not outcome.changed:
-                continue
-            changed += 1
-            fixed += len(outcome.fixed)
-            if args.diff:
-                print(
-                    "".join(
-                        difflib.unified_diff(
-                            original.splitlines(keepends=True),
-                            outcome.source.splitlines(keepends=True),
-                            fromfile=f"a/{path}",
-                            tofile=f"b/{path}",
-                        )
-                    ),
-                    end="",
-                )
-            else:
-                Path(path).write_text(outcome.source, encoding="utf-8")
-        if args.diff:
-            if args.check_clean and changed:
-                print(
-                    f"--check-clean: {fixed} fixable violation(s) in "
-                    f"{changed} file(s); run `repro lint --fix`"
-                )
-                return 1
-            print(f"{fixed} fixable violation(s) in {changed} file(s) (dry run)")
-            return 0
-        print(f"fixed {fixed} violation(s) in {changed} file(s)")
-        # Re-lint so the report and exit code reflect the fixed tree.
-        result = lint_paths(
-            args.paths,
-            select=split(args.select),
-            ignore=split(args.ignore),
-            exclude=args.exclude,
-            cache_dir=args.cache_dir,
-            contract=contract,
-        )
 
     root = _find_git_root(Path.cwd()) if args.fmt == "github" else None
     print(render(result, args.fmt, root=root))

@@ -7,35 +7,28 @@ unordered iteration feeding numeric accumulation, pool-safe worker
 functions, submission-order merges, and tracer spans/grafts kept inside
 their sanctioned shapes.
 
-Two rule tiers share one engine: per-module visitor rules (families
-``DET`` / ``PAR`` / ``OBS``) and whole-program rules (``FLOW`` /
-``SPAN`` / ``RED``) that run over a project-wide call graph, so an RNG
-or a span handle crossing a ``FanOut`` boundary two calls away is still
-traced to its sink.
+Every rule is per-file: the families ``DET`` / ``PAR`` / ``OBS`` /
+``RED`` visit one module at a time.  Hazards that cross functions or
+files (an RNG shared by every fan-out job, a double graft, a span under
+the wrong parent) are left to the tier-1 runtime tests, which catch them
+(see ``docs/lint_mutation_table.json`` and
+``tests/test_span_contract.py``).
 
 * :mod:`repro.lint.rules` — the visitor framework, rule metadata and
-  both registries;
-* :mod:`repro.lint.callgraph` — the project symbol table / call graph
-  (alias and re-export resolution across files);
-* :mod:`repro.lint.dataflow` — the abstract value-flow (RNG streams,
-  tracer handles, wall-clock values) plus the FLOW/SPAN/RED pack and
-  the span contract loader;
+  the registry; :mod:`repro.lint.rules_det`, :mod:`~repro.lint.rules_par`,
+  :mod:`~repro.lint.rules_obs` and :mod:`~repro.lint.rules_red` hold the
+  rules;
 * :mod:`repro.lint.engine` — file discovery, rule execution and
   suppression filtering (:func:`lint_paths` / :func:`lint_sources`);
-* :mod:`repro.lint.fixes` — the ``--fix`` autofixer for mechanically
-  safe rewrites;
-* :mod:`repro.lint.baseline` — the ``--cache-dir`` incremental cache
-  with call-graph invalidation;
 * :mod:`repro.lint.suppressions` — tokenizer-based
   ``# repro: noqa[RULE-ID] reason`` parsing (reasons are mandatory,
   markers apply per logical statement);
 * :mod:`repro.lint.report` — text / json / github reporters and the
-  statistics artifact (schema v2).
+  statistics artifact.
 
-The rule pack, suppression syntax and span-contract format are
-documented in ``docs/api.md`` ("Static analysis"); the CI gate requires
-``repro lint src/ benchmarks/`` to exit zero and the autofixer to have
-nothing left to do.
+The rule pack and suppression syntax are documented in ``docs/api.md``
+("Static analysis"); the CI gate requires ``repro lint src/
+benchmarks/`` to exit zero.
 """
 
 from repro.lint.engine import (
@@ -45,13 +38,10 @@ from repro.lint.engine import (
     lint_source,
     lint_sources,
 )
-from repro.lint.fixes import FixOutcome, apply_fixes
 from repro.lint.rules import (
-    ProjectRule,
     Rule,
     RuleMeta,
     Violation,
-    all_project_rules,
     all_rules,
     rule_ids,
 )
@@ -66,17 +56,13 @@ from repro.lint.suppressions import Suppression, SuppressionScan, scan_suppressi
 
 __all__ = [
     "FORMATS",
-    "FixOutcome",
     "LintResult",
-    "ProjectRule",
     "Rule",
     "RuleMeta",
     "Suppression",
     "SuppressionScan",
     "Violation",
-    "all_project_rules",
     "all_rules",
-    "apply_fixes",
     "iter_python_files",
     "lint_paths",
     "lint_source",

@@ -1,11 +1,9 @@
 """The lint engine: file discovery, rule execution, suppression filtering.
 
 :func:`lint_source` checks one in-memory module; :func:`lint_sources`
-checks a set of in-memory modules *as a project* (the whole-program
-FLOW/SPAN/RED rules see cross-file call chains); :func:`lint_paths`
-recursively checks files and directories and aggregates a
-:class:`LintResult`.  The engine owns three diagnostics of its own,
-reported alongside rule findings:
+checks a set of in-memory modules; :func:`lint_paths` recursively checks
+files and directories and aggregates a :class:`LintResult`.  The engine
+owns three diagnostics of its own, reported alongside rule findings:
 
 * ``LNT001`` — the file failed to parse (nothing else can be checked);
 * ``SUP001`` — a malformed / reason-less ``# repro: noqa`` marker;
@@ -14,12 +12,6 @@ reported alongside rule findings:
 Rule selection accepts exact ids (``DET003``) or family prefixes
 (``DET``); ``ignore`` wins over ``select``.  ``SUP``/``LNT``
 diagnostics follow the same filters but are enabled by default.
-
-Each run proceeds in two passes: the per-module rules visit every file
-independently, then one :class:`~repro.lint.callgraph.ProjectIndex` +
-:class:`~repro.lint.dataflow.DataflowAnalysis` is built over every file
-that parsed and the project rules run once over it.  Suppressions apply
-identically to both kinds of finding.
 """
 
 from __future__ import annotations
@@ -36,10 +28,8 @@ from repro.lint.rules import (
     PARSE_ERROR_RULE_ID,
     SUPPRESSION_RULE_ID,
     UNUSED_SUPPRESSION_RULE_ID,
-    ProjectRule,
     Rule,
     Violation,
-    all_project_rules,
     all_rules,
 )
 from repro.lint.suppressions import scan_suppressions
@@ -61,10 +51,6 @@ class LintResult:
     files_checked: int = 0
     #: Violations silenced by valid suppressions (kept for statistics).
     suppressed: list[Violation] = field(default_factory=list)
-    #: Paths whose rules actually executed this run (differs from the
-    #: full file list only under the incremental cache, which reuses
-    #: cached findings for unchanged, unaffected files).
-    analyzed: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -78,22 +64,15 @@ class LintResult:
             by_rule[v.rule] = by_rule.get(v.rule, 0) + 1
         return {
             "files_checked": self.files_checked,
-            "files_analyzed": len(self.analyzed),
             "total": len(self.violations),
-            "fixable": sum(1 for v in self.violations if v.fixable),
             "suppressed": len(self.suppressed),
             "by_rule": dict(sorted(by_rule.items())),
         }
 
     def to_json_dict(self) -> dict[str, object]:
-        """The ``--format json`` document (schema v2, round-trippable).
-
-        v2 adds per-violation ``fixable`` and ``trace`` fields plus the
-        ``fixable``/``files_analyzed`` statistics; v1 documents load via
-        :meth:`from_json_dict` with the field defaults.
-        """
+        """The ``--format json`` document (round-trippable)."""
         return {
-            "version": 2,
+            "version": 1,
             "files_checked": self.files_checked,
             "violations": [v.to_json_dict() for v in self.violations],
             "statistics": self.statistics(),
@@ -137,128 +116,59 @@ def _enabled_rules(
     ]
 
 
-def _enabled_project_rules(
-    select: Sequence[str] | None, ignore: Sequence[str] | None
-) -> list[ProjectRule]:
-    return [
-        rule
-        for rule in all_project_rules()
-        if _rule_enabled(rule.meta.id, select, ignore)
-    ]
-
-
 # ------------------------------------------------------------------ pipeline
 
 
-@dataclass
-class _FileEntry:
-    """One file of a run: parsed (ctx set) or broken (violation set)."""
-
-    path: str
-    source: str
-    ctx: ModuleContext | None = None
-    parse_violation: Violation | None = None
-
-
-def _parse_entry(
+def _lint_file(
     path: str,
     source: str,
     select: Sequence[str] | None,
     ignore: Sequence[str] | None,
-) -> _FileEntry:
-    entry = _FileEntry(path=path, source=source)
+) -> tuple[list[Violation], list[Violation]]:
+    """Run the enabled rules over one file; return (kept, suppressed)."""
     try:
         tree = ast.parse(source, filename=path)
     except (SyntaxError, ValueError) as exc:
-        if _rule_enabled(PARSE_ERROR_RULE_ID, select, ignore):
-            line = getattr(exc, "lineno", 1) or 1
-            entry.parse_violation = Violation(
+        if not _rule_enabled(PARSE_ERROR_RULE_ID, select, ignore):
+            return [], []
+        return [
+            Violation(
                 rule=PARSE_ERROR_RULE_ID,
                 path=path,
-                line=line,
+                line=getattr(exc, "lineno", 1) or 1,
                 col=1,
                 message=f"file could not be parsed: {exc}",
                 severity="error",
                 fix_hint="fix the syntax error; nothing else was checked",
             )
-        return entry
-    entry.ctx = ModuleContext(path, source, tree)
-    return entry
-
-
-def _module_violations(
-    entry: _FileEntry,
-    select: Sequence[str] | None,
-    ignore: Sequence[str] | None,
-) -> tuple[list[Violation], set[str]]:
-    """Per-module rule findings for one parsed file + the ids evaluated."""
-    assert entry.ctx is not None
+        ], []
+    ctx = ModuleContext(path, source, tree)
     raw: list[Violation] = []
     enabled_ids: set[str] = set()
     for rule in _enabled_rules(select, ignore):
         enabled_ids.add(rule.meta.id)
-        raw.extend(rule.run(entry.ctx))
-    return raw, enabled_ids
+        raw.extend(rule.run(ctx))
 
-
-def _project_violations(
-    entries: Sequence[_FileEntry],
-    select: Sequence[str] | None,
-    ignore: Sequence[str] | None,
-    contract: object | None,
-) -> tuple[dict[str, list[Violation]], set[str]]:
-    """Whole-program findings grouped by path + the project ids evaluated."""
-    rules = _enabled_project_rules(select, ignore)
-    enabled_ids = {rule.meta.id for rule in rules}
-    by_path: dict[str, list[Violation]] = {}
-    contexts = {e.path: e.ctx for e in entries if e.ctx is not None}
-    if not rules or not contexts:
-        return by_path, enabled_ids
-    # Imported lazily: dataflow imports rules, which this module imports.
-    from repro.lint.callgraph import ProjectIndex
-    from repro.lint.dataflow import DataflowAnalysis, SpanContract
-
-    analysis = DataflowAnalysis(
-        ProjectIndex(contexts),
-        contract if isinstance(contract, SpanContract) else None,
-    )
-    for rule in rules:
-        for v in rule.run(analysis):
-            by_path.setdefault(v.path, []).append(v)
-    return by_path, enabled_ids
-
-
-def _finalize_file(
-    entry: _FileEntry,
-    raw: list[Violation],
-    enabled_ids: set[str],
-    select: Sequence[str] | None,
-    ignore: Sequence[str] | None,
-) -> tuple[list[Violation], list[Violation]]:
-    """Apply suppressions; return (kept, suppressed) for one file."""
-    assert entry.ctx is not None
-    kept: list[Violation] = []
-    suppressed: list[Violation] = []
-    scan = scan_suppressions(entry.source, entry.ctx.tree)
+    scan = scan_suppressions(source, tree)
     if _rule_enabled(SUPPRESSION_RULE_ID, select, ignore):
         for line, problem in scan.malformed:
-            raw = [
-                *raw,
+            raw.append(
                 Violation(
                     rule=SUPPRESSION_RULE_ID,
-                    path=entry.path,
+                    path=path,
                     line=line,
                     col=1,
                     message=f"invalid `# repro: noqa` marker: {problem}",
                     severity="error",
                     fix_hint="write `# repro: noqa[RULE-ID] reason`",
-                ),
-            ]
+                )
+            )
 
+    kept: list[Violation] = []
+    suppressed: list[Violation] = []
     used: set[tuple[int, str]] = set()
     for v in raw:
-        sup_ids = scan.ids_for_line(v.line)
-        if v.rule in sup_ids:
+        if v.rule in scan.ids_for_line(v.line):
             used.add((scan.anchor(v.line), v.rule))
             suppressed.append(v)
         else:
@@ -273,7 +183,7 @@ def _finalize_file(
                     kept.append(
                         Violation(
                             rule=UNUSED_SUPPRESSION_RULE_ID,
-                            path=entry.path,
+                            path=path,
                             line=sup.line,
                             col=1,
                             message=(
@@ -282,7 +192,6 @@ def _finalize_file(
                             ),
                             severity="error",
                             fix_hint="delete the stale noqa (or fix its line)",
-                            fixable=True,
                         )
                     )
     return kept, suppressed
@@ -293,34 +202,12 @@ def lint_sources(
     *,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    contract: object | None = None,
 ) -> LintResult:
-    """Lint a set of in-memory modules as one project.
-
-    ``files`` maps (posix-style) paths to source text; the paths drive
-    module naming for the call graph, so a fixture package should
-    include its ``__init__.py`` entries.  ``contract`` overrides the
-    span contract (a :class:`~repro.lint.dataflow.SpanContract`).
-    """
+    """Lint a set of in-memory modules (``files`` maps paths to source)."""
     result = LintResult()
-    entries = [
-        _parse_entry(path, files[path], select, ignore) for path in sorted(files)
-    ]
-    project_by_path, project_ids = _project_violations(
-        entries, select, ignore, contract
-    )
-    for entry in entries:
+    for path in sorted(files):
+        kept, suppressed = _lint_file(path, files[path], select, ignore)
         result.files_checked += 1
-        result.analyzed.append(entry.path)
-        if entry.ctx is None:
-            if entry.parse_violation is not None:
-                result.violations.append(entry.parse_violation)
-            continue
-        raw, enabled_ids = _module_violations(entry, select, ignore)
-        raw.extend(project_by_path.get(entry.path, []))
-        kept, suppressed = _finalize_file(
-            entry, raw, enabled_ids | project_ids, select, ignore
-        )
         result.violations.extend(kept)
         result.suppressed.extend(suppressed)
     result.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
@@ -334,7 +221,7 @@ def lint_source(
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
 ) -> LintResult:
-    """Lint one module's source text (project rules see just this file)."""
+    """Lint one module's source text."""
     return lint_sources({path: source}, select=select, ignore=ignore)
 
 
@@ -430,34 +317,13 @@ def lint_paths(
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
     exclude: Sequence[str] | None = None,
-    cache_dir: str | Path | None = None,
-    contract: object | None = None,
 ) -> LintResult:
-    """Lint files and directories recursively; aggregate one result.
-
-    With ``cache_dir`` set, results are cached per file keyed on content
-    hash and only changed files plus their call-graph dependents are
-    re-analyzed (see :mod:`repro.lint.baseline`).
-    """
-    files = iter_python_files(paths, exclude=exclude)
-    if cache_dir is not None:
-        from repro.lint.baseline import lint_paths_cached
-
-        return lint_paths_cached(
-            files,
-            cache_dir=Path(cache_dir),
-            select=select,
-            ignore=ignore,
-            contract=contract,
-        )
+    """Lint files and directories recursively; aggregate one result."""
     result = LintResult()
-    sources = _read_files(files, result)
-    inner = lint_sources(
-        sources, select=select, ignore=ignore, contract=contract
-    )
+    sources = _read_files(iter_python_files(paths, exclude=exclude), result)
+    inner = lint_sources(sources, select=select, ignore=ignore)
     result.violations.extend(inner.violations)
     result.suppressed.extend(inner.suppressed)
     result.files_checked += inner.files_checked
-    result.analyzed.extend(inner.analyzed)
     result.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return result

@@ -8,16 +8,10 @@ lint --list-rules`` render).  Rules register themselves with
 in id order.
 
 Rule ids are ``<FAMILY><NNN>`` — ``DET`` (determinism), ``PAR``
-(process-pool safety), ``OBS`` (tracer hygiene) — plus the engine-owned
+(process-pool safety), ``OBS`` (tracer hygiene), ``RED`` (float
+reductions over order-free iterables) — plus the engine-owned
 ``SUP`` (suppression hygiene) and ``LNT`` (file-level) ids that have no
 visitor class.
-
-Whole-program rules (families ``FLOW``, ``SPAN``, ``RED``) subclass
-:class:`ProjectRule` instead: they run once over the
-:class:`~repro.lint.callgraph.ProjectIndex` rather than per module, so
-they can chase a value through any cross-file call chain.  Both kinds
-share :class:`RuleMeta` and :class:`Violation`; project findings carry a
-``trace`` — the call chain that connects the source to the sink.
 """
 
 from __future__ import annotations
@@ -33,12 +27,9 @@ __all__ = [
     "RULE_ID_RE",
     "RuleMeta",
     "Rule",
-    "ProjectRule",
     "Violation",
     "all_rules",
-    "all_project_rules",
     "register",
-    "register_project",
     "rule_ids",
 ]
 
@@ -48,14 +39,7 @@ RULE_ID_RE = re.compile(r"^[A-Z]{3,4}\d{3}$")
 
 @dataclass(frozen=True)
 class Violation:
-    """One finding: a rule fired at a source location.
-
-    ``fixable`` marks findings :mod:`repro.lint.fixes` can rewrite
-    mechanically (``repro lint --fix``).  ``trace`` is the cross-file
-    call chain of a whole-program finding, outermost frame first, each
-    entry ``"path:line function"``; single-module findings leave it
-    empty.
-    """
+    """One finding: a rule fired at a source location."""
 
     rule: str
     path: str
@@ -64,11 +48,9 @@ class Violation:
     message: str
     severity: str = "error"
     fix_hint: str = ""
-    fixable: bool = False
-    trace: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict[str, object]:
-        """Plain-JSON representation (the ``--format json`` schema v2)."""
+        """Plain-JSON representation (the ``--format json`` schema)."""
         return {
             "rule": self.rule,
             "path": self.path,
@@ -77,17 +59,11 @@ class Violation:
             "message": self.message,
             "severity": self.severity,
             "fix_hint": self.fix_hint,
-            "fixable": self.fixable,
-            "trace": list(self.trace),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict[str, object]) -> "Violation":
-        """Rebuild a violation from :meth:`to_json_dict` output.
-
-        Schema v1 documents (no ``fixable``/``trace``) load with the
-        field defaults, so old CI artifacts stay readable.
-        """
+        """Rebuild a violation from :meth:`to_json_dict` output."""
         return cls(
             rule=str(data["rule"]),
             path=str(data["path"]),
@@ -96,20 +72,12 @@ class Violation:
             message=str(data["message"]),
             severity=str(data.get("severity", "error")),
             fix_hint=str(data.get("fix_hint", "")),
-            fixable=bool(data.get("fixable", False)),
-            trace=tuple(str(t) for t in data.get("trace", ())),  # type: ignore[union-attr]
         )
 
 
 @dataclass(frozen=True)
 class RuleMeta:
-    """Identity and documentation of one rule.
-
-    ``fixable`` advertises that the autofixer handles (at least some
-    of) this rule's findings; individual violations may still opt out
-    (e.g. a ``DET003`` on ``from time import time``, which needs an
-    import rewrite no mechanical fix should attempt).
-    """
+    """Identity and documentation of one rule."""
 
     id: str
     name: str
@@ -120,7 +88,6 @@ class RuleMeta:
     fix_hint: str
     example_bad: str = ""
     example_good: str = ""
-    fixable: bool = False
 
 
 class Rule(ast.NodeVisitor):
@@ -148,15 +115,8 @@ class Rule(ast.NodeVisitor):
     def prepare(self, ctx: ModuleContext) -> None:
         """Hook for per-module precomputation before the visit pass."""
 
-    def report(
-        self, node: ast.AST, message: str, *, fixable: bool | None = None
-    ) -> None:
-        """Record one violation anchored at ``node``.
-
-        ``fixable`` overrides the rule-level default for findings the
-        autofixer cannot rewrite safely (left as the meta value when
-        omitted).
-        """
+    def report(self, node: ast.AST, message: str) -> None:
+        """Record one violation anchored at ``node``."""
         self.violations.append(
             Violation(
                 rule=self.meta.id,
@@ -166,7 +126,6 @@ class Rule(ast.NodeVisitor):
                 message=message,
                 severity=self.meta.severity,
                 fix_hint=self.meta.fix_hint,
-                fixable=self.meta.fixable if fixable is None else fixable,
             )
         )
 
@@ -188,84 +147,16 @@ def register(cls: type[Rule]) -> type[Rule]:
 def all_rules() -> list[Rule]:
     """Fresh instances of every registered rule, in id order."""
     # Import the rule packs lazily so `rules` has no import cycle with them.
-    from repro.lint import rules_det, rules_obs, rules_par  # noqa: F401
+    from repro.lint import rules_det, rules_obs, rules_par, rules_red  # noqa: F401
 
     return [_REGISTRY[rid]() for rid in sorted(_REGISTRY)]
 
 
-class ProjectRule:
-    """Base class of whole-program rules (``FLOW`` / ``SPAN`` / ``RED``).
-
-    A project rule runs once per lint invocation over the
-    :class:`~repro.lint.callgraph.ProjectIndex`; findings may land in
-    any indexed module and should carry the connecting call chain in
-    :attr:`Violation.trace`.  Subclasses implement :meth:`check`.
-    """
-
-    meta: ClassVar[RuleMeta]
-
-    def __init__(self) -> None:
-        self.violations: list[Violation] = []
-
-    def run(self, project: "object") -> list[Violation]:
-        """Collect this rule's violations for the whole project."""
-        self.violations = []
-        self.check(project)
-        return self.violations
-
-    def check(self, project: "object") -> None:
-        raise NotImplementedError
-
-    def report(
-        self,
-        path: str,
-        node: ast.AST,
-        message: str,
-        *,
-        trace: tuple[str, ...] = (),
-    ) -> None:
-        """Record one violation anchored at ``node`` in module ``path``."""
-        self.violations.append(
-            Violation(
-                rule=self.meta.id,
-                path=path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0) + 1,
-                message=message,
-                severity=self.meta.severity,
-                fix_hint=self.meta.fix_hint,
-                fixable=self.meta.fixable,
-                trace=trace,
-            )
-        )
-
-
-_PROJECT_REGISTRY: dict[str, type[ProjectRule]] = {}
-
-
-def register_project(cls: type[ProjectRule]) -> type[ProjectRule]:
-    """Class decorator: add a whole-program rule to the pack."""
-    rid = cls.meta.id
-    if not RULE_ID_RE.match(rid):
-        raise ValueError(f"malformed rule id: {rid!r}")
-    if rid in _REGISTRY or rid in _PROJECT_REGISTRY:
-        raise ValueError(f"duplicate rule id: {rid}")
-    _PROJECT_REGISTRY[rid] = cls
-    return cls
-
-
-def all_project_rules() -> list[ProjectRule]:
-    """Fresh instances of every registered project rule, in id order."""
-    from repro.lint import dataflow  # noqa: F401  (registers FLOW/SPAN/RED)
-
-    return [_PROJECT_REGISTRY[rid]() for rid in sorted(_PROJECT_REGISTRY)]
-
-
 def rule_ids() -> list[str]:
-    """Every registered rule id (module-level and project), sorted."""
-    from repro.lint import dataflow, rules_det, rules_obs, rules_par  # noqa: F401
+    """Every registered rule id, sorted."""
+    from repro.lint import rules_det, rules_obs, rules_par, rules_red  # noqa: F401
 
-    return sorted([*_REGISTRY, *_PROJECT_REGISTRY])
+    return sorted(_REGISTRY)
 
 
 # Violation ids owned by the engine rather than a visitor rule:

@@ -18,7 +18,6 @@ from repro.cli import main
 from repro.lint import (
     LintResult,
     Violation,
-    all_project_rules,
     all_rules,
     lint_paths,
     lint_source,
@@ -399,18 +398,66 @@ def test_obs002_quiet_in_pool_module():
     assert rule_hits(good, "OBS002") == []
 
 
+# --------------------------------------------------------------------- RED001
+
+
+def test_red001_follows_a_set_through_module_helpers():
+    src = """
+        def names(d) -> set:
+            return set(d)
+
+        def pending(d):
+            return names(d)
+
+        def mean(d):
+            total = 0.0
+            for n in pending(d):
+                total += d[n]
+            return total / len(d)
+    """
+    assert [v.line for v in rule_hits(src, "RED001")] == [10]
+
+
+def test_red001_fires_on_completion_order_through_a_name():
+    src = """
+        from concurrent.futures import as_completed
+
+        def gather(futures):
+            acc = 0.0
+            done = as_completed(futures)
+            for fut in done:
+                acc += fut.result()
+            return acc
+    """
+    assert len(rule_hits(src, "RED001")) == 1
+
+
+def test_red001_quiet_when_sorted_or_not_a_float_sum():
+    src = """
+        def names(d):
+            return {k for k in d}
+
+        def total(d):
+            acc = 0.0
+            for n in sorted(names(d)):
+                acc += d[n]
+            count = 0
+            for n in names(d):
+                count += 1
+            return acc, count
+    """
+    assert rule_hits(src, "RED001") == []
+
+
 # --------------------------------------------------------- rule pack contract
 
 
 def test_every_rule_has_metadata_and_examples():
     rules = all_rules()
-    assert len(rules) == 10
+    assert len(rules) == 11
     families = {r.meta.family for r in rules}
-    assert families == {"DET", "PAR", "OBS"}
-    project_rules = all_project_rules()
-    assert len(project_rules) == 6
-    assert {r.meta.family for r in project_rules} == {"FLOW", "SPAN", "RED"}
-    for rule in [*rules, *project_rules]:
+    assert families == {"DET", "PAR", "OBS", "RED"}
+    for rule in rules:
         m = rule.meta
         assert m.id.startswith(m.family)
         for field in ("summary", "rationale", "fix_hint", "example_bad",
@@ -543,7 +590,7 @@ def test_json_format_round_trips():
     """
     result = lint_source(textwrap.dedent(src), path="s.py")
     doc = json.loads(render(result, "json"))
-    assert doc["version"] == 2
+    assert doc["version"] == 1
     assert doc["files_checked"] == 1
     assert doc["statistics"]["by_rule"] == {"DET003": 1}
     rebuilt = LintResult.from_json_dict(doc)
